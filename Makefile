@@ -14,8 +14,8 @@ verify:
 	dune exec bin/crat_cli.exe -- verify --all --corpus
 
 # static performance advisor over every workload, with each "may"/"must"
-# claim cross-checked against the reference interpreter's dynamic counters;
-# the P-code report lands in lint-report.txt
+# claim cross-checked against dynamic counters from a run on the fast
+# interpreter (Gpusim.Profile); the P-code report lands in lint-report.txt
 lint:
 	dune exec bin/crat_cli.exe -- lint --all --validate --out lint-report.txt
 

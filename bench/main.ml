@@ -384,52 +384,59 @@ let () =
            Format.fprintf fmt "(%.1fs)@.@." wall
          end)
       experiments;
+    (* sanitized replay of every workload's default launch: the
+       static/dynamic discharge counts ride the JSON report so CI can
+       track how much instrumentation the bounds proofs elide. It runs
+       before the clock stops, so its time counts in [total_wall_s] *)
+    let san =
+      if !json = "" then None
+      else
+        Some
+          (List.fold_left
+             (fun acc (app : Workloads.App.t) ->
+                let dyn = Crat.Sanitize.validate app in
+                let d = dyn.Crat.Sanitize.report.Verify.Sanitize.discharge in
+                let c = dyn.Crat.Sanitize.counters in
+                { Crat.Report.apps = acc.Crat.Report.apps + 1
+                ; accesses = acc.Crat.Report.accesses + d.Verify.Sanitize.total
+                ; proven = acc.Crat.Report.proven + d.Verify.Sanitize.safe
+                ; residual =
+                    acc.Crat.Report.residual + d.Verify.Sanitize.residual
+                ; san_seen = acc.Crat.Report.san_seen + Gpusim.Sancheck.seen c
+                ; san_checked =
+                    acc.Crat.Report.san_checked + Gpusim.Sancheck.checked c
+                ; san_violations =
+                    acc.Crat.Report.san_violations
+                    + Gpusim.Sancheck.violations c
+                })
+             { Crat.Report.apps = 0
+             ; accesses = 0
+             ; proven = 0
+             ; residual = 0
+             ; san_seen = 0
+             ; san_checked = 0
+             ; san_violations = 0
+             }
+             Workloads.Suite.all)
+    in
     let total_s = Unix.gettimeofday () -. t_all in
     let report = Crat.Engine.report engine in
     Format.fprintf fmt "total %.1fs; %a@." total_s Crat.Engine.pp_report report;
-    if !json <> "" then begin
-      (* sanitized replay of every workload's default launch: the
-         static/dynamic discharge counts ride the JSON report so CI can
-         track how much instrumentation the bounds proofs elide *)
-      let san =
-        List.fold_left
-          (fun acc (app : Workloads.App.t) ->
-             let dyn = Crat.Sanitize.validate app in
-             let d = dyn.Crat.Sanitize.report.Verify.Sanitize.discharge in
-             let c = dyn.Crat.Sanitize.counters in
-             { Crat.Report.apps = acc.Crat.Report.apps + 1
-             ; accesses = acc.Crat.Report.accesses + d.Verify.Sanitize.total
-             ; proven = acc.Crat.Report.proven + d.Verify.Sanitize.safe
-             ; residual = acc.Crat.Report.residual + d.Verify.Sanitize.residual
-             ; san_seen = acc.Crat.Report.san_seen + Gpusim.Sancheck.seen c
-             ; san_checked =
-                 acc.Crat.Report.san_checked + Gpusim.Sancheck.checked c
-             ; san_violations =
-                 acc.Crat.Report.san_violations + Gpusim.Sancheck.violations c
-             })
-          { Crat.Report.apps = 0
-          ; accesses = 0
-          ; proven = 0
-          ; residual = 0
-          ; san_seen = 0
-          ; san_checked = 0
-          ; san_violations = 0
-          }
-          Workloads.Suite.all
-      in
-      Format.fprintf fmt
-        "sanitizer: %d/%d static accesses proven over %d apps; %d/%d dynamic \
-         checks paid, %d violation(s)@."
-        san.Crat.Report.proven san.Crat.Report.accesses san.Crat.Report.apps
-        san.Crat.Report.san_checked san.Crat.Report.san_seen
-        san.Crat.Report.san_violations;
-      Crat.Report.write !json
-        { Crat.Report.jobs = !jobs
-        ; total_wall_s = total_s
-        ; engine = report
-        ; sanitizer = Some san
-        ; experiments = List.rev !records
-        };
-      Format.fprintf fmt "wrote %s@." !json
-    end
+    Option.iter
+      (fun (san : Crat.Report.sanitizer) ->
+         Format.fprintf fmt
+           "sanitizer: %d/%d static accesses proven over %d apps; %d/%d \
+            dynamic checks paid, %d violation(s)@."
+           san.Crat.Report.proven san.Crat.Report.accesses
+           san.Crat.Report.apps san.Crat.Report.san_checked
+           san.Crat.Report.san_seen san.Crat.Report.san_violations;
+         Crat.Report.write !json
+           { Crat.Report.jobs = !jobs
+           ; total_wall_s = total_s
+           ; engine = report
+           ; sanitizer = Some san
+           ; experiments = List.rev !records
+           };
+         Format.fprintf fmt "wrote %s@." !json)
+      san
   end

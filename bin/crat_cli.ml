@@ -299,7 +299,11 @@ let passes_cmd =
 (* ---------- trace ---------- *)
 
 let trace_cmd =
-  let doc = "Print a per-warp execution trace from the functional interpreter." in
+  let doc =
+    "Print a per-warp execution trace from the functional interpreter. A \
+     run that fails (barrier deadlock, divergent return) prints the steps \
+     logged up to the failure and exits 1."
+  in
   let warp_arg =
     Arg.(value & opt int 0 & info [ "w"; "warp" ] ~docv:"N" ~doc:"Warp index within the block.")
   in
@@ -312,11 +316,16 @@ let trace_cmd =
   let run abbr warp block steps =
     let app = find_app abbr in
     let input = Workloads.App.default_input app in
-    let entries =
+    match
       Gpusim.Trace.warp_trace ~max_steps:steps ~ctaid:block ~warp
         (Workloads.App.launch app ~input ())
-    in
-    Format.printf "%a" Gpusim.Trace.pp entries
+    with
+    | entries -> Format.printf "%a" Gpusim.Trace.pp entries
+    | exception Gpusim.Trace.Aborted (entries, msg) ->
+      (* the steps up to the failure are what debugging it needs *)
+      Format.printf "%a" Gpusim.Trace.pp entries;
+      Format.eprintf "trace aborted: %s@." msg;
+      exit 1
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(const run $ app_arg $ warp_arg $ block_arg $ steps_arg)

@@ -40,6 +40,11 @@ let int_params ps =
        | Gpusim.Value.F _ -> None)
     ps
 
+let replay report launch =
+  let rt = Sancheck.runtime (San.mask report) in
+  Gpusim.Emulator.run ~sanitize:rt launch;
+  rt.Sancheck.counters
+
 let validate ?(cfg = Gpusim.Config.fermi) ?input (app : App.t) =
   let input =
     match input with
@@ -52,10 +57,8 @@ let validate ?(cfg = Gpusim.Config.fermi) ?input (app : App.t) =
     San.sanitize_kernel ~block_size:app.App.block_size
       ~num_blocks:input.App.num_blocks ~params:(int_params params) kernel
   in
-  let rt = Sancheck.runtime (San.mask report) in
-  let (_ : Gpusim.Profile.t) =
-    Gpusim.Profile.run ~line:cfg.Gpusim.Config.l1_line
-      ~banks:cfg.Gpusim.Config.shared_banks ~sanitize:rt
+  let counters =
+    replay report
       (Gpusim.Launch.make ~warp_size:cfg.Gpusim.Config.warp_size ~kernel
          ~block_size:app.App.block_size ~num_blocks:input.App.num_blocks
          ~params (App.memory app input))
@@ -80,5 +83,5 @@ let validate ?(cfg = Gpusim.Config.fermi) ?input (app : App.t) =
          | None ->
            fail "%s[%d]: %d out-of-bounds lane access(es)" app.App.abbr pc
              s.Sancheck.violations)
-    (Sancheck.stats rt.Sancheck.counters);
-  { report; counters = rt.Sancheck.counters; failures = List.rev !failures }
+    (Sancheck.stats counters);
+  { report; counters; failures = List.rev !failures }

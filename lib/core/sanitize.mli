@@ -4,10 +4,10 @@
     ([pre-opt], [post-opt], [post-alloc]) — the last one covering the
     allocator's spill code, whose shared spill stack is held to
     per-thread sub-stacks. {!validate} arms the residual checks and
-    replays the default launch through the profiling interpreter: the
-    dynamic counters say what fraction of lane accesses still paid a
-    bounds test, and any recorded violation (or proven-OOB static
-    verdict) becomes a failure line. *)
+    replays the default launch on the fast interpreter
+    ({!Gpusim.Emulator}): the dynamic counters say what fraction of
+    lane accesses still paid a bounds test, and any recorded violation
+    (or proven-OOB static verdict) becomes a failure line. *)
 
 type stage_report =
   { stage : string
@@ -28,6 +28,11 @@ type dynamic =
   ; counters : Gpusim.Sancheck.counters  (** residual-check counters *)
   ; failures : string list  (** empty when the launch is clean *)
   }
+
+val replay : Verify.Sanitize.report -> Gpusim.Launch.t -> Gpusim.Sancheck.counters
+(** Execute [launch] (mutating its memory) on {!Gpusim.Emulator} with
+    [report]'s residual checks armed — the run behind {!validate};
+    returns the check counters. *)
 
 val validate :
   ?cfg:Gpusim.Config.t -> ?input:Workloads.App.input -> Workloads.App.t -> dynamic

@@ -1,4 +1,16 @@
-let run_block lctx ~ctaid ~warp_size =
+type observer = Interp.warp -> pc:int -> mask:int -> Interp.exec -> unit
+
+let[@inline] step observe w =
+  match observe with
+  | None -> Interp.step w
+  | Some f ->
+    let pc = Interp.pc w in
+    let mask = Interp.active_mask w in
+    let e = Interp.step w in
+    f w ~pc ~mask e;
+    e
+
+let run_block ?observe lctx ~ctaid ~warp_size =
   let _block, warps = Interp.make_block lctx ~ctaid ~warp_size in
   let warps = Array.of_list warps in
   let waiting = Array.make (Array.length warps) false in
@@ -13,7 +25,7 @@ let run_block lctx ~ctaid ~warp_size =
          if (not (Interp.is_done w)) && not waiting.(i) then begin
            let stop = ref false in
            while not !stop do
-             match Interp.step w with
+             match step observe w with
              | Interp.E_barrier ->
                waiting.(i) <- true;
                stop := true;
@@ -35,7 +47,7 @@ let run_block lctx ~ctaid ~warp_size =
   done;
   if not (all_done ()) then failwith "Emulator: barrier deadlock"
 
-let run ?sanitize (l : Launch.t) =
+let run ?observe ?sanitize ?ctaid (l : Launch.t) =
   let image = Image.prepare l.Launch.kernel in
   let lctx =
     { Interp.image
@@ -46,9 +58,13 @@ let run ?sanitize (l : Launch.t) =
     ; san = sanitize
     }
   in
-  for ctaid = 0 to l.Launch.num_blocks - 1 do
-    run_block lctx ~ctaid ~warp_size:l.Launch.warp_size
-  done
+  let block ctaid = run_block ?observe lctx ~ctaid ~warp_size:l.Launch.warp_size in
+  match ctaid with
+  | Some c -> block c
+  | None ->
+    for c = 0 to l.Launch.num_blocks - 1 do
+      block c
+    done
 
 let run_to_memory (l : Launch.t) =
   let m = Memory.copy l.Launch.memory in

@@ -15,8 +15,10 @@
     property tests keeping the two in lockstep agreement.
 
     The same interpreter drives both the cycle-accurate simulator
-    ({!Sm}) and the reference emulator ({!Emulator}) used by the
-    semantics-preservation property tests. *)
+    ({!Sm}) and the functional emulator ({!Emulator}), which serves the
+    semantics-preservation property tests and, through step observers,
+    the lint/sanitize validation runs ({!Profile}) and warp traces
+    ({!Trace}). *)
 
 type launch_ctx =
   { image : Image.t

@@ -31,123 +31,98 @@ let branch_stat t pc =
     Hashtbl.add t.branch_tbl pc s;
     s
 
+(* The last access's lane addresses as [Int64.div addr unit] keys
+   (an int: the quotient of any int64 by 4 or more fits), sorted in
+   place — insertion sort, as there are at most warp-size of them. *)
+let sorted_keys keys w unit =
+  let n = Interp.mem_count w in
+  for i = 0 to n - 1 do
+    let k = Int64.to_int (Int64.div (Interp.mem_addr w i) unit) in
+    let j = ref (i - 1) in
+    while !j >= 0 && keys.(!j) > k do
+      keys.(!j + 1) <- keys.(!j);
+      decr j
+    done;
+    keys.(!j + 1) <- k
+  done;
+  n
+
 (* distinct L1-line indices over the lane base addresses, as
    {!Sm.coalesce} counts them *)
-let segments ~line lane_addrs =
-  let line = Int64.of_int line in
-  let lines =
-    List.sort_uniq Int64.compare
-      (List.map (fun (_, a) -> Int64.div a line) lane_addrs)
-  in
-  List.length lines
+let segments keys w ~line =
+  let n = sorted_keys keys w (Int64.of_int line) in
+  let d = ref (min n 1) in
+  for i = 1 to n - 1 do
+    if keys.(i) <> keys.(i - 1) then incr d
+  done;
+  !d
 
 (* max distinct 4-byte words mapping to one bank, as
    {!Sm.bank_conflict_degree}; the bank of a word is its signed
    remainder, kept distinct from the positive classes by offsetting *)
-let bank_degree ~banks lane_addrs =
-  let words =
-    List.sort_uniq Int64.compare
-      (List.map (fun (_, a) -> Int64.div a 4L) lane_addrs)
-  in
-  let counts = Hashtbl.create 16 in
+let bank_degree keys counts w ~banks =
+  let n = sorted_keys keys w 4L in
+  Array.fill counts 0 (Array.length counts) 0;
   let degree = ref 1 in
-  List.iter
-    (fun w ->
-       let bank = Int64.to_int (Int64.rem w (Int64.of_int banks)) + banks in
-       let c = 1 + Option.value ~default:0 (Hashtbl.find_opt counts bank) in
-       Hashtbl.replace counts bank c;
-       if c > !degree then degree := c)
-    words;
-  if words = [] then 1 else !degree
-
-let record_mem t ~line ~banks pc (space : Ptx.Types.space) lane_addrs =
-  let s = mem_stat t pc space in
-  s.m_execs <- s.m_execs + 1;
-  match space with
-  | Ptx.Types.Global | Ptx.Types.Local ->
-    s.max_segments <- max s.max_segments (segments ~line lane_addrs)
-  | Ptx.Types.Shared ->
-    s.max_bank_degree <- max s.max_bank_degree (bank_degree ~banks lane_addrs)
-  | _ -> ()
-
-(* A conditional branch splits the warp when both the taken and the
-   fall-through lane sets are non-empty; replicated from the
-   interpreter's own test before stepping over it. *)
-let record_branch t w =
-  match Refinterp.peek w with
-  | Some (Ptx.Instr.Bra_pred (p, sense, _)) ->
-    let pc = Refinterp.pc w in
-    let mask = Refinterp.active_mask w in
-    let values = Refinterp.read_reg_values w p in
-    let taken = ref 0 in
-    Array.iteri
-      (fun lane v ->
-         if mask land (1 lsl lane) <> 0 && Value.to_bool v = sense then
-           taken := !taken lor (1 lsl lane))
-      values;
-    let fall = mask land lnot !taken in
-    let s = branch_stat t pc in
-    s.b_execs <- s.b_execs + 1;
-    if !taken <> 0 && fall <> 0 then s.b_divergent <- s.b_divergent + 1
-  | _ -> ()
-
-(* The barrier-waiting block driver, mirroring {!Refinterp.run_block},
-   with the counters hooked around every step. *)
-let run_block t ~line ~banks lctx ~ctaid ~warp_size =
-  let _block, warps = Refinterp.make_block lctx ~ctaid ~warp_size in
-  let warps = Array.of_list warps in
-  let waiting = Array.make (Array.length warps) false in
-  let all_done () = Array.for_all Refinterp.is_done warps in
-  let progress = ref true in
-  while (not (all_done ())) && !progress do
-    progress := false;
-    Array.iteri
-      (fun i w ->
-         if (not (Refinterp.is_done w)) && not waiting.(i) then begin
-           let stop = ref false in
-           while not !stop do
-             record_branch t w;
-             let pc = Refinterp.pc w in
-             match Refinterp.step w with
-             | Refinterp.E_barrier ->
-               waiting.(i) <- true;
-               stop := true;
-               progress := true
-             | Refinterp.E_exit ->
-               stop := true;
-               progress := true
-             | Refinterp.E_mem { space; lane_addrs; _ } ->
-               record_mem t ~line ~banks pc space lane_addrs;
-               progress := true
-             | Refinterp.E_alu _ -> progress := true
-           done
-         end)
-      warps;
-    let live_blocked = ref true in
-    Array.iteri
-      (fun i w ->
-         if (not (Refinterp.is_done w)) && not waiting.(i) then
-           live_blocked := false)
-      warps;
-    if !live_blocked then Array.iteri (fun i _ -> waiting.(i) <- false) warps
+  for i = 0 to n - 1 do
+    if i = 0 || keys.(i) <> keys.(i - 1) then begin
+      let bank = (keys.(i) mod banks) + banks in
+      let c = counts.(bank) + 1 in
+      counts.(bank) <- c;
+      if c > !degree then degree := c
+    end
   done;
-  if not (all_done ()) then failwith "Profile: barrier deadlock"
+  !degree
 
-let run ?(line = 128) ?(banks = 32) ?sanitize (l : Launch.t) =
-  let image = Image.prepare l.Launch.kernel in
-  let lctx =
-    { Refinterp.image
-    ; global = l.Launch.memory
-    ; params = l.Launch.params
-    ; block_size = l.Launch.block_size
-    ; num_blocks = l.Launch.num_blocks
-    ; san = sanitize
-    }
-  in
+let run ?(line = 128) ?(banks = 32) (l : Launch.t) =
   let t = { mem_tbl = Hashtbl.create 64; branch_tbl = Hashtbl.create 16 } in
-  for ctaid = 0 to l.Launch.num_blocks - 1 do
-    run_block t ~line ~banks lctx ~ctaid ~warp_size:l.Launch.warp_size
-  done;
+  let keys = Array.make l.Launch.warp_size 0 in
+  let counts = Array.make (2 * banks) 0 in
+  let observe w ~pc ~mask (e : Interp.exec) =
+    match e with
+    | Interp.E_mem { space; _ } ->
+      let s = mem_stat t pc space in
+      s.m_execs <- s.m_execs + 1;
+      (match space with
+       | Ptx.Types.Global | Ptx.Types.Local ->
+         s.max_segments <- max s.max_segments (segments keys w ~line)
+       | Ptx.Types.Shared ->
+         s.max_bank_degree <-
+           max s.max_bank_degree (bank_degree keys counts w ~banks)
+       | _ -> ())
+    | Interp.E_alu _ ->
+      let image = (Interp.block_of w).Interp.launch.Interp.image in
+      (match image.Image.code.Dcode.code.(pc) with
+       | Dcode.DBra_pred { target; reconv; _ } ->
+         let s = branch_stat t pc in
+         s.b_execs <- s.b_execs + 1;
+         (* A split leaves the active mask a strict non-empty subset of
+            the mask before the step; a uniform branch leaves it equal,
+            or pops to a sibling or parent entry, neither a subset. The
+            exception is a branch to its own fall-through that is also
+            the join point: both halves reconverge at once, so read the
+            predicate. *)
+         let after = Interp.active_mask w in
+         let split =
+           if target = reconv && pc + 1 = reconv then
+             match image.Image.flow.Cfg.Flow.instrs.(pc) with
+             | Ptx.Instr.Bra_pred (p, sense, _) ->
+               let values = Interp.read_reg_values w p in
+               let taken = ref 0 in
+               Array.iteri
+                 (fun lane v ->
+                    if mask land (1 lsl lane) <> 0 && Value.to_bool v = sense
+                    then taken := !taken lor (1 lsl lane))
+                 values;
+               !taken <> 0 && !taken <> mask
+             | _ -> false
+           else after <> 0 && after <> mask && after land lnot mask = 0
+         in
+         if split then s.b_divergent <- s.b_divergent + 1
+       | _ -> ())
+    | Interp.E_barrier | Interp.E_exit -> ()
+  in
+  Emulator.run ~observe l;
   t
 
 let sorted tbl =

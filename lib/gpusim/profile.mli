@@ -1,8 +1,9 @@
 (** Per-pc dynamic counters for cross-validating the static advisor.
 
-    Runs a whole launch through the reference interpreter
-    ({!Refinterp}) and records, at every flat instruction index of the
-    kernel's {!Cfg.Flow}:
+    Runs a whole launch on the fast interpreter ({!Interp}, through the
+    {!Emulator} block driver with an observer on every warp step) and
+    records, at every flat instruction index of the kernel's
+    {!Cfg.Flow}:
 
     - memory accesses: execution count, the maximum number of distinct
       L1-line segments a single warp access touched (global and local
@@ -10,7 +11,9 @@
       counts), and the maximum shared-memory bank-conflict degree
       (mirroring {!Sm.bank_conflict_degree});
     - conditional branches: execution count and how many executions
-      actually split the warp.
+      actually split the warp (read off the active mask: a split
+      leaves it a strict non-empty subset of the mask before the
+      step).
 
     The static advisor ({!Verify.Advisor}) must cover every event
     recorded here with a "may" prediction at the same pc, and no
@@ -31,11 +34,9 @@ type branch_stat =
 
 type t
 
-val run : ?line:int -> ?banks:int -> ?sanitize:Sancheck.runtime -> Launch.t -> t
+val run : ?line:int -> ?banks:int -> Launch.t -> t
 (** Execute the launch (mutating its global memory in place) and
-    collect the counters. Geometry defaults match {!Config.fermi}.
-    [sanitize] arms the hybrid sanitizer in the underlying
-    {!Refinterp}; its counters belong to the caller. *)
+    collect the counters. Geometry defaults match {!Config.fermi}. *)
 
 val mems : t -> (int * mem_stat) list
 (** Per-pc memory counters, ascending by pc. *)

@@ -8,7 +8,8 @@
    the instruction definitions; the differential property tests run
    random kernels through both interpreters in lockstep and require
    bit-identical registers, control flow and memory. Not used by the
-   timing simulator. *)
+   timing simulator, the emulator or the validation gates; besides the
+   differential tests, only witness replay runs on it. *)
 
 type launch_ctx =
   { image : Image.t
@@ -55,7 +56,7 @@ let full_mask n = (1 lsl n) - 1
 
 let make_block launch ~ctaid ~warp_size =
   if launch.block_size <= 0 || launch.block_size mod warp_size <> 0 then
-    invalid_arg "Interp.make_block: block size must be a multiple of warp size";
+    invalid_arg "Refinterp.make_block: block size must be a multiple of warp size";
   let nwarps = launch.block_size / warp_size in
   let block = { launch; ctaid; shared = Memory.create (); nwarps } in
   let warps =
@@ -426,7 +427,7 @@ let run_block lctx ~ctaid ~warp_size =
       warps;
     if !live_blocked then Array.iteri (fun i _ -> waiting.(i) <- false) warps
   done;
-  if not (all_done ()) then failwith "Emulator: barrier deadlock"
+  if not (all_done ()) then failwith "Refinterp: barrier deadlock"
 
 let run ?sanitize (l : Launch.t) =
   let image = Image.prepare l.Launch.kernel in

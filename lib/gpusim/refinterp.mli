@@ -2,8 +2,12 @@
     kept as the semantic oracle for {!Interp}'s predecoded/unboxed
     fast path. The differential property tests step random kernels
     through both in lockstep and require bit-identical register
-    contents, control flow and memory. Not used by the timing
-    simulator. *)
+    contents, control flow and memory. Not used by any production
+    path: the timing simulator, the emulator and the lint/sanitize
+    validation gates ({!Profile}, [Crat.Sanitize]) all run on
+    {!Interp}. Its only other client is translation validation's
+    witness replay ([Equiv.Witness]), which re-executes a refuted
+    edge's counterexample on the reference semantics. *)
 
 type launch_ctx =
   { image : Image.t

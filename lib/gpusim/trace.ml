@@ -5,73 +5,34 @@ type entry =
   ; def_value : Value.t option
   }
 
+exception Aborted of entry list * string
+
 let warp_trace ?(max_steps = 10_000) ~ctaid ~warp (l : Launch.t) =
-  let image = Image.prepare l.Launch.kernel in
-  let lctx =
-    { Interp.image
-    ; global = l.Launch.memory
-    ; params = l.Launch.params
-    ; block_size = l.Launch.block_size
-    ; num_blocks = l.Launch.num_blocks
-    ; san = None
-    }
-  in
-  let _block, warps =
-    Interp.make_block lctx ~ctaid ~warp_size:l.Launch.warp_size
-  in
-  let warps = Array.of_list warps in
-  if warp < 0 || warp >= Array.length warps then
+  if warp < 0 || warp >= l.Launch.block_size / l.Launch.warp_size then
     invalid_arg "Trace.warp_trace: no such warp";
-  let target = warps.(warp) in
+  let exception Full in
   let log = ref [] in
   let steps = ref 0 in
-  (* round-robin in barrier-sized quanta, mirroring the emulator *)
-  let waiting = Array.make (Array.length warps) false in
-  let all_done () = Array.for_all Interp.is_done warps in
-  let progress = ref true in
-  while (not (all_done ())) && !progress && !steps < max_steps do
-    progress := false;
-    Array.iteri
-      (fun i w ->
-         if (not (Interp.is_done w)) && not waiting.(i) then begin
-           let stop = ref false in
-           while not !stop do
-             let pc = Interp.pc w in
-             let mask = Interp.active_mask w in
-             let instr =
-               if Interp.is_done w then None
-               else Interp.peek w
-             in
-             match instr with
-             | None -> stop := true
-             | Some ins ->
-               let exec = Interp.step w in
-               progress := true;
-               if w == target && !steps < max_steps then begin
-                 incr steps;
-                 let def_value =
-                   match Ptx.Instr.defs ins with
-                   | d :: _ -> Some (Interp.read_reg_values w d).(0)
-                   | [] -> None
-                 in
-                 log := { pc; instr = ins; mask; def_value } :: !log
-               end;
-               (match exec with
-                | Interp.E_barrier ->
-                  waiting.(i) <- true;
-                  stop := true
-                | Interp.E_exit -> stop := true
-                | Interp.E_alu _ | Interp.E_mem _ -> ())
-           done
-         end)
-      warps;
-    let live_blocked = ref true in
-    Array.iteri
-      (fun i w ->
-         if (not (Interp.is_done w)) && not waiting.(i) then live_blocked := false)
-      warps;
-    if !live_blocked then Array.iteri (fun i _ -> waiting.(i) <- false) warps
-  done;
+  let observe w ~pc ~mask _ =
+    let image = (Interp.block_of w).Interp.launch.Interp.image in
+    let instrs = image.Image.flow.Cfg.Flow.instrs in
+    (* a step past the end of the code is the warp falling off it *)
+    if Interp.warp_id w = warp && pc < Array.length instrs then begin
+      incr steps;
+      let instr = instrs.(pc) in
+      let def_value =
+        match Ptx.Instr.defs instr with
+        | d :: _ -> Some (Interp.read_reg_values w d).(0)
+        | [] -> None
+      in
+      log := { pc; instr; mask; def_value } :: !log;
+      if !steps >= max_steps then raise_notrace Full
+    end
+  in
+  (if max_steps > 0 then
+     try Emulator.run ~observe ~ctaid l with
+     | Full -> ()
+     | Failure msg -> raise (Aborted (List.rev !log, msg)));
   List.rev !log
 
 let pp_entry fmt e =

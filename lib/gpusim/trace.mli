@@ -10,10 +10,17 @@ type entry =
   ; def_value : Value.t option  (** lane 0 of the defined register *)
   }
 
+exception Aborted of entry list * string
+(** The block failed (barrier deadlock, divergent return) after the
+    warp logged the given entries; the string says why. *)
+
 val warp_trace : ?max_steps:int -> ctaid:int -> warp:int -> Launch.t -> entry list
 (** Execute block [ctaid] functionally and record warp [warp]'s steps.
     Other warps of the block run too (shared-memory staging and barriers
-    behave normally). [max_steps] (default 10_000) bounds the log. *)
+    behave normally). [max_steps] (default 10_000) bounds the log: the
+    run stops once the warp has logged that many steps. The log is an
+    {!Emulator} observer, so the block runs on {!Interp}.
+    @raise Aborted on barrier deadlock or divergent return. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> entry list -> unit

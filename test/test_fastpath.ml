@@ -4,6 +4,16 @@
      unboxed) and {!Gpusim.Refinterp} (the original boxed interpreter)
      in lockstep, requiring bit-identical control flow, lane addresses,
      register contents (value bits AND float tags) and final memory;
+   - the validation gates' dynamic counters, which now come from the
+     fast path: per-pc {!Gpusim.Profile} counters and final memory of a
+     whole launch (as [crat lint --validate] runs it), and sanitizer
+     {!Gpusim.Sancheck.stats} and final memory of a sanitized replay
+     through {!Crat.Sanitize.replay} (as [crat sanitize --validate] runs
+     it), against the same results from {!Gpusim.Refinterp} — a
+     reference-side profiling driver and [Refinterp.run ~sanitize] —
+     over random kernels (shared-memory staging and wild shared stores
+     included), a branch to its own join point, and every suite
+     workload's default launch;
    - the paged {!Gpusim.Memory} against the old Hashtbl store as a
      model, over adversarial address patterns (unaligned, negative,
      huge) and every scalar type;
@@ -138,6 +148,225 @@ let prop_ref_vs_sm =
       Testsupport.Gen.outputs_equal
         (G.Memory.read_f32_array mem_r ~base:0x2000_0000L 128)
         (G.Memory.read_f32_array mem_f ~base:0x2000_0000L 128))
+
+(* ---------- validation counters: Interp observer vs Refinterp ---------- *)
+
+(* {!Gpusim.Profile}'s counters recomputed on the reference interpreter,
+   straight from its lane-address lists and predicate values, under the
+   same barrier-waiting block driver as {!Gpusim.Emulator}. *)
+module Ref_profile = struct
+  let segments ~line lane_addrs =
+    let line = Int64.of_int line in
+    List.length
+      (List.sort_uniq Int64.compare
+         (List.map (fun (_, a) -> Int64.div a line) lane_addrs))
+
+  let bank_degree ~banks lane_addrs =
+    let words =
+      List.sort_uniq Int64.compare
+        (List.map (fun (_, a) -> Int64.div a 4L) lane_addrs)
+    in
+    let counts = Hashtbl.create 16 in
+    List.fold_left
+      (fun degree w ->
+         let bank = Int64.to_int (Int64.rem w (Int64.of_int banks)) + banks in
+         let c = 1 + Option.value ~default:0 (Hashtbl.find_opt counts bank) in
+         Hashtbl.replace counts bank c;
+         max degree c)
+      1 words
+
+  let sorted tbl =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+  let run ?(line = 128) ?(banks = 32) (l : G.Launch.t) =
+    let mems = Hashtbl.create 64 in
+    let branches = Hashtbl.create 16 in
+    let before w =
+      match G.Refinterp.peek w with
+      | Some (Ptx.Instr.Bra_pred (p, sense, _)) ->
+        let mask = G.Refinterp.active_mask w in
+        let taken = ref 0 in
+        Array.iteri
+          (fun lane v ->
+             if mask land (1 lsl lane) <> 0 && G.Value.to_bool v = sense then
+               taken := !taken lor (1 lsl lane))
+          (G.Refinterp.read_reg_values w p);
+        let s =
+          match Hashtbl.find_opt branches (G.Refinterp.pc w) with
+          | Some s -> s
+          | None ->
+            let s = { G.Profile.b_execs = 0; b_divergent = 0 } in
+            Hashtbl.add branches (G.Refinterp.pc w) s;
+            s
+        in
+        s.G.Profile.b_execs <- s.G.Profile.b_execs + 1;
+        if !taken <> 0 && mask land lnot !taken <> 0 then
+          s.G.Profile.b_divergent <- s.G.Profile.b_divergent + 1
+      | _ -> ()
+    in
+    let after pc (e : G.Refinterp.exec) =
+      match e with
+      | G.Refinterp.E_mem { space; lane_addrs; _ } ->
+        let s =
+          match Hashtbl.find_opt mems pc with
+          | Some s -> s
+          | None ->
+            let s =
+              { G.Profile.m_execs = 0; max_segments = 0; max_bank_degree = 0
+              ; m_space = space }
+            in
+            Hashtbl.add mems pc s;
+            s
+        in
+        s.G.Profile.m_execs <- s.G.Profile.m_execs + 1;
+        (match space with
+         | Ptx.Types.Global | Ptx.Types.Local ->
+           s.G.Profile.max_segments <-
+             max s.G.Profile.max_segments (segments ~line lane_addrs)
+         | Ptx.Types.Shared ->
+           s.G.Profile.max_bank_degree <-
+             max s.G.Profile.max_bank_degree (bank_degree ~banks lane_addrs)
+         | _ -> ())
+      | _ -> ()
+    in
+    let lctx =
+      { G.Refinterp.image = G.Image.prepare l.G.Launch.kernel
+      ; global = l.G.Launch.memory
+      ; params = l.G.Launch.params
+      ; block_size = l.G.Launch.block_size
+      ; num_blocks = l.G.Launch.num_blocks
+      ; san = None
+      }
+    in
+    for ctaid = 0 to l.G.Launch.num_blocks - 1 do
+      let _, warps =
+        G.Refinterp.make_block lctx ~ctaid ~warp_size:l.G.Launch.warp_size
+      in
+      let warps = Array.of_list warps in
+      let waiting = Array.make (Array.length warps) false in
+      let live i = not (G.Refinterp.is_done warps.(i) || waiting.(i)) in
+      let progress = ref true in
+      while (not (Array.for_all G.Refinterp.is_done warps)) && !progress do
+        progress := false;
+        Array.iteri
+          (fun i w ->
+             let stop = ref (not (live i)) in
+             while not !stop do
+               before w;
+               let pc = G.Refinterp.pc w in
+               let e = G.Refinterp.step w in
+               after pc e;
+               progress := true;
+               match e with
+               | G.Refinterp.E_barrier ->
+                 waiting.(i) <- true;
+                 stop := true
+               | G.Refinterp.E_exit -> stop := true
+               | G.Refinterp.E_alu _ | G.Refinterp.E_mem _ -> ()
+             done)
+          warps;
+        if not (List.exists live (List.init (Array.length warps) Fun.id)) then
+          Array.fill waiting 0 (Array.length waiting) false
+      done;
+      if not (Array.for_all G.Refinterp.is_done warps) then
+        failwith "reference profile: barrier deadlock"
+    done;
+    (sorted mems, sorted branches)
+end
+
+(* One launch through both sides, each on its own memory copy: the
+   profiled run, then — given a static [report] — the sanitized replay
+   with [report]'s residual checks armed. [None] when the sides agree,
+   otherwise which results differ. *)
+let profile_mismatch ?report (l : G.Launch.t) =
+  let copy () = { l with G.Launch.memory = G.Memory.copy l.G.Launch.memory } in
+  let lf = copy () and lr = copy () in
+  let prof = G.Profile.run lf in
+  let mems_r, branches_r = Ref_profile.run lr in
+  if G.Profile.mems prof <> mems_r then Some "per-pc memory counters"
+  else if G.Profile.branches prof <> branches_r then Some "per-pc branch splits"
+  else if not (G.Memory.equal lf.G.Launch.memory lr.G.Launch.memory) then
+    Some "final memory"
+  else
+    match report with
+    | None -> None
+    | Some report ->
+      let lf = copy () and lr = copy () in
+      let counters = Crat.Sanitize.replay report lf in
+      let rt = G.Sancheck.runtime (Verify.Sanitize.mask report) in
+      G.Refinterp.run ~sanitize:rt lr;
+      if G.Sancheck.stats counters <> G.Sancheck.stats rt.G.Sancheck.counters
+      then Some "sanitizer stats"
+      else if not (G.Memory.equal lf.G.Launch.memory lr.G.Launch.memory) then
+        Some "sanitized final memory"
+      else None
+
+let prop_profile =
+  QCheck.Test.make ~count:40 ~name:"validation counters on Interp match Refinterp"
+    (QCheck.make ~print:Ptx.Printer.kernel_to_string
+       (Testsupport.Gen.kernel ~with_shared:true ()))
+    (fun k ->
+      let mem = G.Memory.create () in
+      G.Memory.write_f32_array mem ~base:0x1000_0000L
+        (Workloads.Data.uniform_f32 ~seed:13 1024);
+      let params =
+        [ ("inp", G.Value.I 0x1000_0000L)
+        ; ("out", G.Value.I 0x2000_0000L)
+        ; ("n", G.Value.of_int 1024)
+        ]
+      in
+      let report = Verify.Sanitize.sanitize_kernel ~block_size:64 k in
+      match
+        profile_mismatch ~report
+          (G.Launch.make ~kernel:k ~block_size:64 ~num_blocks:2 ~params mem)
+      with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "%s diverged" what)
+
+(* A branch whose target is its own fall-through and join point: both
+   halves of a split reconverge within the step, so the active mask
+   alone cannot show it. *)
+let test_profile_self_join () =
+  let module B = Ptx.Builder in
+  let b = B.create "self_join" in
+  let tid = B.special b Ptx.Reg.Tid_x in
+  let bit = B.binop b Ptx.Instr.And Ptx.Types.U32 (B.reg tid) (B.imm 1) in
+  let p = B.setp b Ptx.Instr.Eq Ptx.Types.U32 (B.reg bit) (B.imm 1) in
+  let join = B.fresh_label b "Lj" in
+  B.bra_ifnot b p join;
+  B.label b join;
+  let k = B.finish b in
+  let l = G.Launch.make ~kernel:k ~block_size:64 ~num_blocks:1 (G.Memory.create ()) in
+  (match profile_mismatch l with
+   | None -> ()
+   | Some what -> Alcotest.failf "%s diverged" what);
+  match G.Profile.branches (G.Profile.run l) with
+  | [ (_, s) ] ->
+    Alcotest.(check int) "both warps split" 2 s.G.Profile.b_divergent
+  | bs -> Alcotest.failf "expected one branch, got %d" (List.length bs)
+
+(* every suite workload's default launch, profiled and replayed with the
+   launch-specialised report armed, as [crat lint/sanitize --validate]
+   run it *)
+let test_profile_suite () =
+  List.iter
+    (fun (app : Workloads.App.t) ->
+       let input = Workloads.App.default_input app in
+       let kernel = Workloads.App.kernel app in
+       let int_params =
+         List.filter_map
+           (fun (n, v) ->
+              match v with G.Value.I x -> Some (n, x) | G.Value.F _ -> None)
+           (Workloads.App.params app input)
+       in
+       let report =
+         Verify.Sanitize.sanitize_kernel ~block_size:app.Workloads.App.block_size
+           ~num_blocks:input.Workloads.App.num_blocks ~params:int_params kernel
+       in
+       match profile_mismatch ~report (Workloads.App.launch app ~input ()) with
+       | None -> ()
+       | Some what -> Alcotest.failf "%s: %s diverged" app.Workloads.App.abbr what)
+    Workloads.Suite.all
 
 (* ---------- paged memory vs the old Hashtbl model ---------- *)
 
@@ -303,7 +532,12 @@ let () =
   Alcotest.run "fastpath"
     [ ( "differential"
       , List.map QCheck_alcotest.to_alcotest
-          [ prop_lockstep; prop_ref_vs_sm; prop_memory_model ] )
+          [ prop_lockstep; prop_ref_vs_sm; prop_profile; prop_memory_model ]
+        @ [ Alcotest.test_case "profile: branch to its own join point" `Quick
+              test_profile_self_join
+          ; Alcotest.test_case "profile: suite default launches" `Slow
+              test_profile_suite
+          ] )
     ; ( "memory"
       , [ Alcotest.test_case "copy isolation" `Quick test_memory_copy_isolated ] )
     ; ( "report"

@@ -677,6 +677,32 @@ let test_trace_records_execution () =
   in
   check "prologue in order" true (prologue_ordered entries)
 
+(* a run that fails mid-block hands back the steps logged before it *)
+let test_trace_aborted () =
+  let module B = Ptx.Builder in
+  let b = B.create "divergent_ret" in
+  let tid = B.special b Ptx.Reg.Tid_x in
+  let bit = B.binop b Ptx.Instr.And Ptx.Types.U32 (B.reg tid) (B.imm 1) in
+  let p = B.setp b Ptx.Instr.Eq Ptx.Types.U32 (B.reg bit) (B.imm 1) in
+  let join = B.fresh_label b "Lj" in
+  B.bra_ifnot b p join;
+  B.ret b;
+  B.label b join;
+  let k = B.finish b in
+  match
+    G.Trace.warp_trace ~ctaid:0 ~warp:0
+      (G.Launch.make ~kernel:k ~block_size:32 ~num_blocks:1 (G.Memory.create ()))
+  with
+  | _ -> Alcotest.fail "divergent ret traced without failing"
+  | exception G.Trace.Aborted (entries, msg) ->
+    check "reason" true (String.length msg > 0);
+    (* tid, and, setp, bra: all before the failing ret *)
+    check_int "steps before the failure" 4 (List.length entries);
+    check "ends at the branch" true
+      (match List.rev entries with
+       | { G.Trace.instr = Ptx.Instr.Bra_pred _; _ } :: _ -> true
+       | _ -> false)
+
 let () =
   Alcotest.run "gpusim"
     [ ( "values"
@@ -725,7 +751,9 @@ let () =
         ; Alcotest.test_case "barrier (timing sim)" `Quick test_barrier_communication_sm
         ] )
     ; ( "trace"
-      , [ Alcotest.test_case "records execution" `Quick test_trace_records_execution ] )
+      , [ Alcotest.test_case "records execution" `Quick test_trace_records_execution
+        ; Alcotest.test_case "aborted run keeps its log" `Quick test_trace_aborted
+        ] )
     ; ( "dynamic-tlp"
       , [ Alcotest.test_case "correct under pausing" `Quick test_dynamic_tlp_correct
         ; Alcotest.test_case "helps thrashing kernels" `Slow

@@ -169,19 +169,27 @@ let test_dynamic_catch () =
     | Some { D.instr = Some pc; _ } -> pc
     | _ -> Alcotest.fail "no located S403 diagnostic on the corpus kernel"
   in
+  let launch () =
+    Gpusim.Launch.make ~kernel:k ~block_size:64 ~num_blocks:1
+      ~params:[ ("idx", Gpusim.Value.of_int 100) ]
+      (Gpusim.Memory.create ())
+  in
+  let caught what c =
+    Alcotest.(check bool) (what ^ ": violations recorded") true
+      (Sancheck.violations c > 0);
+    match Sancheck.first_violation c with
+    | None -> Alcotest.failf "%s: no violation witness" what
+    | Some v ->
+      Alcotest.(check int) (what ^ ": caught at the S403 pc") s403_pc
+        v.Sancheck.v_pc;
+      (* idx=100 words = byte offset 400, well past the 32B array *)
+      Alcotest.(check int64) (what ^ ": witness offset") 400L v.Sancheck.v_addr
+  in
+  (* the reference semantics, then the fast path validation runs on *)
   let rt = Sancheck.runtime (San.mask report) in
-  Gpusim.Refinterp.run ~sanitize:rt
-    (Gpusim.Launch.make ~kernel:k ~block_size:64 ~num_blocks:1
-       ~params:[ ("idx", Gpusim.Value.of_int 100) ]
-       (Gpusim.Memory.create ()));
-  let c = rt.Sancheck.counters in
-  Alcotest.(check bool) "violations recorded" true (Sancheck.violations c > 0);
-  match Sancheck.first_violation c with
-  | None -> Alcotest.fail "no violation witness"
-  | Some v ->
-    Alcotest.(check int) "caught at the S403 pc" s403_pc v.Sancheck.v_pc;
-    (* idx=100 words = byte offset 400, well past the 32B array *)
-    Alcotest.(check int64) "witness offset" 400L v.Sancheck.v_addr
+  Gpusim.Refinterp.run ~sanitize:rt (launch ());
+  caught "Refinterp" rt.Sancheck.counters;
+  caught "Crat.Sanitize.replay" (Crat.Sanitize.replay report (launch ()))
 
 let () =
   Alcotest.run "sanitize"
