@@ -1,4 +1,4 @@
-.PHONY: all build test verify lint sanitize equiv bench bench-smoke bench-perf bench-backend bench-serve serve-smoke clean
+.PHONY: all build test verify lint sanitize equiv bench bench-smoke clean
 
 all: build
 
@@ -39,30 +39,6 @@ bench:
 # cheap smoke check of the parallel evaluation path
 bench-smoke:
 	dune exec bench/main.exe -- --only fig1 --jobs 2 --fast
-
-# reduced full sweep with a machine-readable report, for tracking
-# simulator performance over time (see BENCH_PR2.json for a reference),
-# then the fig13-family replay-on/replay-off grid (see BENCH_PR5.json):
-# wall-clock at jobs 1 and 4 with bit-identical Stats fingerprints
-bench-perf:
-	dune exec bench/main.exe -- --fast --json bench-perf.json
-	dune exec bench/replaybench.exe -- BENCH_PR5.json
-
-# fig13 per register-file backend + scalarization statistics
-bench-backend:
-	dune exec bench/backendbench.exe -- BENCH_PR6.json
-
-# daemon + persistent store under N forked clients, full suite, cold vs
-# warm store (see BENCH_PR10.json)
-bench-serve:
-	dune exec bench/servebench.exe -- BENCH_PR10.json
-
-# CI gate for the daemon: 4 concurrent clients over a workload subset,
-# cold store then warm restart; fails unless the warm run answers >= 90%
-# of points without functional execution and every Stats fingerprint is
-# bit-identical across clients and store temperatures
-serve-smoke:
-	dune exec bench/servebench.exe -- --smoke BENCH_PR10.json
 
 clean:
 	dune clean

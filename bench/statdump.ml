@@ -58,15 +58,24 @@ let fingerprint ~blocks ~tlps (app : Workloads.App.t) =
        pp_stats (Printf.sprintf "%s/r20/tlp%d" app.Workloads.App.abbr tlp) st)
     tlps
 
+let positive flag s =
+  match int_of_string_opt s with
+  | Some n when n > 0 -> n
+  | _ ->
+    raise
+      (Arg.Bad (Printf.sprintf "%s: expected a positive integer, got %S" flag s))
+
 let () =
   let blocks = ref 2 in
   let tlps = ref [ 1; 3 ] in
   let spec =
-    [ ("--blocks", Arg.Set_int blocks, "N blocks per workload (default 2)")
+    [ ( "--blocks"
+      , Arg.String (fun s -> blocks := positive "--blocks" s)
+      , "N blocks per workload (default 2)" )
     ; ( "--tlp"
       , Arg.String
           (fun s ->
-             tlps := List.map int_of_string (String.split_on_char ',' s))
+             tlps := List.map (positive "--tlp") (String.split_on_char ',' s))
       , "T,T TLP limits to sweep (default 1,3)" )
     ]
   in

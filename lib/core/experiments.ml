@@ -991,3 +991,54 @@ let pp_dynamic_tlp fmt rows =
        Format.fprintf fmt "%-6s %10d %10d %10d %10d@." r.abbr r.max_cycles
          r.dyn_cycles r.opt_cycles r.crat_cycles)
     rows
+
+(* ---------- register-file backends ---------- *)
+
+type scalar_row =
+  { abbr : string
+  ; max_reg_ptx : int
+  ; max_reg_machine : int
+  ; sregs_per_warp : int
+  ; scalarized : int
+  ; tlp_ptx : int
+  ; tlp_machine : int
+  }
+
+let scalarization cfg apps =
+  List.map
+    (fun (app : Workloads.App.t) ->
+       let rp = Resource.analyze cfg app in
+       let rm = Resource.analyze ~backend:Machine.Backend.Machine cfg app in
+       let block_size = app.Workloads.App.block_size in
+       let k = Workloads.App.kernel app in
+       let alloc =
+         Regalloc.Allocator.allocate
+           ~scalar:(Machine.Scalarize.predicate ~block_size k)
+           ~scalar_limit:Machine.Backend.default_scalar_limit ~block_size
+           ~reg_limit:rm.Resource.max_reg k
+       in
+       let tlp_at (r : Resource.t) =
+         Gpusim.Occupancy.max_tlp cfg
+           (Resource.usage_at r ~regs:r.Resource.max_reg)
+       in
+       { abbr = app.Workloads.App.abbr
+       ; max_reg_ptx = rp.Resource.max_reg
+       ; max_reg_machine = rm.Resource.max_reg
+       ; sregs_per_warp = rm.Resource.sregs_per_warp
+       ; scalarized = alloc.Regalloc.Allocator.scalarized
+       ; tlp_ptx = tlp_at rp
+       ; tlp_machine = tlp_at rm
+       })
+    apps
+
+let pp_scalarization fmt rows =
+  Format.fprintf fmt
+    "Scalarization: spill-free limits under the PTX and machine backends@.";
+  Format.fprintf fmt "%-6s %8s %8s %8s %8s %8s %8s@." "app" "reg-ptx"
+    "reg-mach" "sregs" "scalar" "tlp-ptx" "tlp-mach";
+  List.iter
+    (fun r ->
+       Format.fprintf fmt "%-6s %8d %8d %8d %8d %8d %8d@." r.abbr r.max_reg_ptx
+         r.max_reg_machine r.sregs_per_warp r.scalarized r.tlp_ptx
+         r.tlp_machine)
+    rows

@@ -321,3 +321,22 @@ val dynamic_tlp : Engine.t -> Gpusim.Config.t -> Workloads.App.t list -> dyn_row
     vs OptTLP vs CRAT. *)
 
 val pp_dynamic_tlp : Format.formatter -> dyn_row list -> unit
+
+(** {2 Register-file backends} *)
+
+type scalar_row =
+  { abbr : string
+  ; max_reg_ptx : int  (** spill-free vector limit, single PTX file *)
+  ; max_reg_machine : int  (** spill-free vector limit, split files *)
+  ; sregs_per_warp : int  (** scalar-file footprint per warp *)
+  ; scalarized : int  (** registers moved to the scalar file *)
+  ; tlp_ptx : int  (** occupancy at [max_reg_ptx] *)
+  ; tlp_machine : int  (** occupancy at [max_reg_machine] *)
+  }
+
+val scalarization : Gpusim.Config.t -> Workloads.App.t list -> scalar_row list
+(** Scalarization off ([Ptx]) vs on ([Machine]) per app: the spill-free
+    vector limit under each backend, the scalar footprint, and the TLP
+    each backend reaches at its own spill-free point. *)
+
+val pp_scalarization : Format.formatter -> scalar_row list -> unit

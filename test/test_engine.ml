@@ -1,5 +1,6 @@
 (* The evaluation engine: content-addressed store, key structure,
-   jobs=1/jobs=N determinism and multi-domain stress. *)
+   jobs=1/jobs=N and replay on/off determinism, and multi-domain
+   stress. *)
 
 let fermi = Gpusim.Config.fermi
 let check = Alcotest.(check bool)
@@ -151,19 +152,31 @@ let test_cache_false_bypasses_store () =
   check_int "uncached runs record no trace" 0 rep.Crat.Engine.trace_records;
   check "simulation is deterministic anyway" true (s1 = s2)
 
-(* ---------- determinism across jobs ---------- *)
+(* ---------- determinism across jobs and replay ---------- *)
 
+(* fig13 at jobs 1 and 4, with the trace-replay cache on and off: rows
+   and every technique's Stats.t must be bit-identical in every cell *)
 let test_jobs_determinism () =
   let apps = List.map small_app [ "GAU"; "KMN"; "STM" ] in
-  let run jobs =
-    let e = Crat.Engine.create ~jobs () in
+  let run (jobs, replay) =
+    let e = Crat.Engine.create ~jobs ~replay () in
     let rows, comps = Crat.Experiments.fig13 e fermi apps in
-    (rows, List.map (fun c -> c.Crat.Experiments.crat.Crat.Baselines.stats) comps)
+    ( rows
+    , List.map
+        (fun (c : Crat.Experiments.comparison) ->
+           List.map
+             (fun (v : Crat.Baselines.evaluated) -> v.Crat.Baselines.stats)
+             [ c.max_tlp; c.opt_tlp; c.crat_local; c.crat ])
+        comps )
   in
-  let rows1, stats1 = run 1 in
-  let rows4, stats4 = run 4 in
-  check "fig13 rows bit-identical (jobs=1 vs jobs=4)" true (rows1 = rows4);
-  check "underlying stats bit-identical" true (stats1 = stats4)
+  let rows1, stats1 = run (1, true) in
+  List.iter
+    (fun ((jobs, replay) as cell) ->
+       let rows, stats = run cell in
+       let what = Printf.sprintf "(jobs=%d, replay=%b)" jobs replay in
+       check ("fig13 rows bit-identical " ^ what) true (rows = rows1);
+       check ("underlying stats bit-identical " ^ what) true (stats = stats1))
+    [ (4, true); (1, false); (4, false) ]
 
 let test_design_space_batch_determinism () =
   let a = small_app "BLK" in

@@ -159,6 +159,65 @@ let test_warm_restart_from_store () =
     (Marshal.to_string cold [] = Marshal.to_string warm []);
   shutdown_daemon socket join
 
+(* Four client threads each send the same six points (rotated, so they
+   claim different launches first) to a cold daemon, then again to a
+   daemon restarted on the same store. Each distinct point is computed
+   exactly once whatever the interleaving, and every answer is
+   bit-identical across clients and store temperatures. *)
+let test_concurrent_clients () =
+  let dir = temp_dir "serve-clients" in
+  let store_dir = Filename.concat dir "store" in
+  let apps = [ "BFS"; "KMN"; "GAU"; "LUD"; "PATH"; "ESP" ] in
+  let rotate n l =
+    List.filteri (fun i _ -> i >= n) l @ List.filteri (fun i _ -> i < n) l
+  in
+  (* digest of every (app, Stats.t) pair in app order: invariant under
+     rotation and completion order *)
+  let client socket i =
+    let abbrs = rotate i apps in
+    let stats =
+      with_client socket (fun c ->
+        match Serve.Client.simulate c (List.map Serve.Protocol.point abbrs) with
+        | Error e -> Alcotest.fail e
+        | Ok s -> s)
+    in
+    let pairs =
+      List.sort compare (List.mapi (fun j a -> (a, stats.(j))) abbrs)
+    in
+    Digest.to_hex (Digest.string (Marshal.to_string pairs []))
+  in
+  let run name =
+    let socket, join = spawn_daemon ~store_dir dir name in
+    (* a client that fails leaves [None] *)
+    let digests = Array.make 4 None in
+    let threads =
+      List.init 4 (fun i ->
+        Thread.create (fun () -> digests.(i) <- Some (client socket i)) ())
+    in
+    List.iter Thread.join threads;
+    let stats =
+      with_client socket (fun c ->
+        match Serve.Client.server_stats c with
+        | Error e -> Alcotest.fail e
+        | Ok st -> st)
+    in
+    shutdown_daemon socket join;
+    (Array.to_list digests, stats)
+  in
+  let cold, cs = run "cold" in
+  let warm, ws = run "warm" in
+  let all = cold @ warm in
+  check "every client answered" true (List.for_all Option.is_some all);
+  check "answers identical across clients and cold/warm" true
+    (List.for_all (( = ) (List.hd all)) all);
+  Alcotest.(check int) "cold: 6 distinct points simulated" 6
+    cs.Serve.Protocol.sim_runs;
+  Alcotest.(check int) "cold: 6 traces recorded" 6
+    cs.Serve.Protocol.trace_records;
+  Alcotest.(check int) "cold: 24 points served" 24 cs.Serve.Protocol.points;
+  Alcotest.(check int) "warm: nothing simulated" 0 ws.Serve.Protocol.sim_runs;
+  check "warm hit rate >= 0.9" true (Serve.Protocol.hit_rate ws >= 0.9)
+
 let test_server_side_sweep () =
   let dir = temp_dir "serve-sweep" in
   (* a stub sweep driver standing in for the CLI's Sweep.serve_sweep
@@ -202,6 +261,8 @@ let () =
             test_simulate_and_dedup
         ; Alcotest.test_case "warm restart from store" `Slow
             test_warm_restart_from_store
+        ; Alcotest.test_case "4 concurrent clients, cold then warm" `Slow
+            test_concurrent_clients
         ; Alcotest.test_case "server-side sweep" `Quick test_server_side_sweep
         ] )
     ]
