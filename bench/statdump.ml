@@ -12,26 +12,8 @@
 
 let fermi = Gpusim.Config.fermi
 
-let pp_stats name (st : Gpusim.Stats.t) =
-  Printf.printf
-    "%s cycles=%d wi=%d ti=%d issue=%d sb=%d memc=%d bar=%d idle=%d replay=%d \
-     gld=%d gst=%d lld=%d lst=%d sld=%d sst=%d bankc=%d gseg=%d lseg=%d \
-     l1r=%d l1rh=%d l1w=%d l1wh=%d l1rf=%d l1wb=%d l1f=%d \
-     l2r=%d l2rh=%d l2w=%d l2wh=%d l2rf=%d l2wb=%d l2f=%d \
-     dram=%d blocks=%d maxblk=%d sfu=%d alu=%d\n"
-    name st.Gpusim.Stats.cycles st.warp_instrs st.thread_instrs st.issue_cycles
-    st.stall_scoreboard st.stall_mem_congestion st.stall_barrier st.stall_idle
-    st.lsu_replay_cycles st.global_load_lanes st.global_store_lanes
-    st.local_load_lanes st.local_store_lanes st.shared_load_lanes
-    st.shared_store_lanes st.shared_bank_conflicts st.global_segments
-    st.local_segments st.l1.Gpusim.Cache.reads st.l1.Gpusim.Cache.read_hits
-    st.l1.Gpusim.Cache.writes st.l1.Gpusim.Cache.write_hits
-    st.l1.Gpusim.Cache.reserve_fails st.l1.Gpusim.Cache.writebacks
-    st.l1.Gpusim.Cache.fills st.l2.Gpusim.Cache.reads
-    st.l2.Gpusim.Cache.read_hits st.l2.Gpusim.Cache.writes
-    st.l2.Gpusim.Cache.write_hits st.l2.Gpusim.Cache.reserve_fails
-    st.l2.Gpusim.Cache.writebacks st.l2.Gpusim.Cache.fills st.dram_bytes
-    st.blocks_completed st.max_concurrent_blocks st.sfu_instrs st.alu_instrs
+let pp_stats name st =
+  Printf.printf "%s %s\n" name (Gpusim.Stats.fingerprint st)
 
 let fingerprint ~blocks ~tlps (app : Workloads.App.t) =
   let input =

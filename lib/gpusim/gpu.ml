@@ -38,7 +38,9 @@ let run ?sms ?(max_cycles = 40_000_000) ?scheduler ?record ?replay
      its [running] flag holds, and the flag drops exactly when the unit
      goes idle ([Sm.busy] is monotone — the shared dispenser never
      refills a drained SM). Same step sequence as scanning [Sm.busy]
-     every cycle, minus the allocation. *)
+     every cycle, minus the allocation. Unlike [Sm.run], this loop does
+     not skip quiet cycles: all SMs run on the one clock the shared L2
+     and DRAM order their requests by, so no SM may jump ahead alone. *)
   let n = Array.length units in
   let running = Array.make n false in
   let n_running = ref 0 in

@@ -51,6 +51,9 @@ and wstate =
   { w : front
   ; tr : Replay.wtrace option  (** recording sink, when capturing a trace *)
   ; sb : int array  (** scoreboard: register slot -> ready cycle *)
+  ; mutable wake : int
+      (** first cycle at which every use/def slot of the next pc is
+          ready; -1 when unknown (after a scoreboard write or a step) *)
   ; mutable waiting_barrier : bool
   ; bstate : bstate
   ; age : int  (** global age for oldest-first ordering *)
@@ -195,6 +198,7 @@ let launch_block sm =
                   | M_record tr -> Some (Replay.wtrace tr ~ctaid ~wid)
                   | M_live | M_replay _ -> None)
              ; sb = Array.make nslots 0
+             ; wake = -1
              ; waiting_barrier = false
              ; bstate = bs
              ; age = sm.age_counter
@@ -344,28 +348,34 @@ let lsu_pop sm =
 
 (* ---------- per-cycle machinery ---------- *)
 
-let sb_ready sm ws pc =
-  let now = sm.now in
-  let sb = ws.sb in
-  let ok slots =
-    let n = Array.length slots in
-    let rec loop i =
-      i >= n
-      || (Array.unsafe_get sb (Array.unsafe_get slots i) <= now && loop (i + 1))
-    in
-    loop 0
-  in
-  ok sm.code.Dcode.uses.(pc) && ok sm.code.Dcode.defs.(pc)
+(* The scoreboard and the pc are the only inputs of a warp's wake
+   cycle, and they change only here and in [issue] (after [f_step]);
+   both drop the cached value, and [status] recomputes it on demand. *)
+let set_pending ws slot ready =
+  ws.sb.(slot) <- ready;
+  ws.wake <- -1
 
-let set_pending ws slot ready = ws.sb.(slot) <- ready
+let rec latest_ready sb (slots : int array) i (acc : int) =
+  if i >= Array.length slots then acc
+  else
+    let r = Array.unsafe_get sb (Array.unsafe_get slots i) in
+    latest_ready sb slots (i + 1) (if r > acc then r else acc)
+
+let compute_wake sm ws pc =
+  let c = sm.code in
+  let w = latest_ready ws.sb c.Dcode.uses.(pc) 0 0 in
+  let w = latest_ready ws.sb c.Dcode.defs.(pc) 0 w in
+  ws.wake <- w;
+  w
 
 let status sm ws : blocked =
   if f_done ws.w then Done
   else if ws.waiting_barrier then Barrier
+  else if ws.wake > sm.now then Scoreboard
   else begin
     let pc = f_fetch ws.w in
     if pc < 0 then Done
-    else if not (sb_ready sm ws pc) then Scoreboard
+    else if ws.wake < 0 && compute_wake sm ws pc > sm.now then Scoreboard
     else if
       Array.unsafe_get sm.code.Dcode.is_gl_mem pc
       && sm.lsu_len + lsu_headroom > lsu_capacity
@@ -465,6 +475,7 @@ let issue sm ws =
   let pc = f_fetch ws.w in
   let defs = sm.code.Dcode.defs.(pc) in
   let exec = f_step ws.w in
+  ws.wake <- -1;
   (* recording appends to flat arrays only — it cannot perturb timing *)
   (match ws.tr with
    | Some tr ->
@@ -577,65 +588,69 @@ let service_lsu sm =
     decr ports
   done
 
+(* Stall classes a scheduler scan meets, as bits of [scan]'s result. *)
+let seen_mem = 1
+let seen_sb = 2
+let seen_bar = 4
+
+(* One pass over [pool] from index [start], wrapping: the index of the
+   first ready warp, or [-1 - seen] when none is ready, [seen] being the
+   union of the stall classes met. [status] is pure within a cycle, so a
+   failed search has seen every warp of the pool exactly once, which is
+   all the stall classification needs. *)
+let scan sm pool start =
+  let n = Array.length pool in
+  let rec go k seen =
+    if k >= n then -1 - seen
+    else begin
+      let i = start + k in
+      let i = if i >= n then i - n else i in
+      match status sm (Array.unsafe_get pool i) with
+      | Ready -> i
+      | Mem_queue -> go (k + 1) (seen lor seen_mem)
+      | Scoreboard -> go (k + 1) (seen lor seen_sb)
+      | Barrier -> go (k + 1) (seen lor seen_bar)
+      | Done -> go (k + 1) seen
+    end
+  in
+  go 0 0
+
+let issue_pick sm s ws =
+  (match sm.greedy.(s) with
+   | Some g when g == ws -> ()
+   | Some _ | None -> sm.greedy.(s) <- Some ws);
+  sm.st.Stats.issue_cycles <- sm.st.Stats.issue_cycles + 1;
+  issue sm ws
+
 let schedulers_issue sm =
-  let total = sm.cfg.Config.num_schedulers in
-  for s = 0 to total - 1 do
+  let st = sm.st in
+  for s = 0 to sm.cfg.Config.num_schedulers - 1 do
     let pool = sm.pools.(s) in
     let n = Array.length pool in
-    if n = 0 then sm.st.Stats.stall_idle <- sm.st.Stats.stall_idle + 1
+    if n = 0 then st.Stats.stall_idle <- st.Stats.stall_idle + 1
     else begin
-      let ready ws = status sm ws = Ready in
-      let pick =
-        match sm.scheduler with
-        | `Gto ->
-          let g_ok =
-            match sm.greedy.(s) with
-            | Some g when (not (f_done g.w)) && ready g -> Some g
-            | Some _ | None -> None
-          in
-          (match g_ok with
-           | Some g -> Some g
-           | None ->
-             let rec find i =
-               if i >= n then None
-               else if ready pool.(i) then Some pool.(i)
-               else find (i + 1)
-             in
-             find 0)
-        | `Lrr ->
-          let start = sm.now mod n in
-          let rec find k =
-            if k >= n then None
-            else
-              let ws = pool.((start + k) mod n) in
-              if ready ws then Some ws else find (k + 1)
-          in
-          find 0
-      in
-      match pick with
-      | Some ws ->
-        (match sm.greedy.(s) with
-         | Some g when g == ws -> ()
-         | Some _ | None -> sm.greedy.(s) <- Some ws);
-        sm.st.Stats.issue_cycles <- sm.st.Stats.issue_cycles + 1;
-        issue sm ws
-      | None ->
-        let has_mem = ref false and has_sb = ref false and has_bar = ref false in
-        Array.iter
-          (fun ws ->
-             match status sm ws with
-             | Mem_queue -> has_mem := true
-             | Scoreboard -> has_sb := true
-             | Barrier -> has_bar := true
-             | Ready | Done -> ())
-          pool;
-        if !has_mem then
-          sm.st.Stats.stall_mem_congestion <- sm.st.Stats.stall_mem_congestion + 1
-        else if !has_sb then
-          sm.st.Stats.stall_scoreboard <- sm.st.Stats.stall_scoreboard + 1
-        else if !has_bar then
-          sm.st.Stats.stall_barrier <- sm.st.Stats.stall_barrier + 1
-        else sm.st.Stats.stall_idle <- sm.st.Stats.stall_idle + 1
+      (* GTO tries its greedy warp first: it may belong to a block paused
+         since it last issued, so it is not part of the pool's scan *)
+      match (sm.scheduler, sm.greedy.(s)) with
+      | `Gto, Some g when status sm g = Ready -> issue_pick sm s g
+      | (`Gto | `Lrr), _ ->
+        let start =
+          match sm.scheduler with
+          | `Gto -> 0
+          | `Lrr -> sm.now mod n
+        in
+        let r = scan sm pool start in
+        if r >= 0 then issue_pick sm s pool.(r)
+        else begin
+          let seen = -1 - r in
+          if seen land seen_mem <> 0 then
+            st.Stats.stall_mem_congestion <- st.Stats.stall_mem_congestion + 1
+          else if seen land seen_sb <> 0 then
+            st.Stats.stall_scoreboard <- st.Stats.stall_scoreboard + 1
+          else if seen land seen_bar <> 0 then
+            st.Stats.stall_barrier <- st.Stats.stall_barrier + 1
+          else st.Stats.stall_idle <- st.Stats.stall_idle + 1
+        end
     end
   done
 
@@ -671,11 +686,36 @@ let dynamic_adjust sm =
     | None -> ()
   end
 
+(* [acc] lowered to the first cycle at which [ws] may become ready.
+   Barrier and finished warps cannot change without an issue; an unknown
+   wake gives [sm.now], i.e. no skip. *)
+let wake_bound sm ws acc =
+  if ws.waiting_barrier || f_done ws.w then acc
+  else
+    let w = if ws.wake < 0 then sm.now else ws.wake in
+    if w < acc then w else acc
+
+(* After a cycle in which no scheduler issued and the LSU queue is
+   empty, the first cycle at which some scheduler may stop stalling: the
+   earliest wake among the warps a scheduler looks at, which are the
+   pools and GTO's greedy warps. *)
+let idle_until sm =
+  let until = ref max_int in
+  for s = 0 to Array.length sm.pools - 1 do
+    let pool = sm.pools.(s) in
+    for i = 0 to Array.length pool - 1 do
+      until := wake_bound sm pool.(i) !until
+    done;
+    match sm.greedy.(s) with
+    | Some g -> until := wake_bound sm g !until
+    | None -> ()
+  done;
+  !until
+
 let step sm =
   service_lsu sm;
   if sm.dynamic_tlp && sm.now > 0 && sm.now mod dynamic_window = 0 then
     dynamic_adjust sm;
-  if sm.now > 0 && sm.now mod 256 = 0 then sm.pools_dirty <- true;
   if sm.pools_dirty then rebuild_pools sm;
   schedulers_issue sm;
   sm.now <- sm.now + 1
@@ -714,11 +754,43 @@ let run ?(max_cycles = 40_000_000) ?scheduler ?bypass_global ?dynamic_tlp
     create ?scheduler ?dynamic_tlp ?bypass_global ?record ?replay cfg shared
       ~next_block l
   in
+  let st = sm.st in
   while busy sm do
     if sm.now > max_cycles then begin
       ignore (finalize sm);
       raise (Cycle_limit sm.st)
     end;
-    step sm
+    let issued = st.Stats.issue_cycles
+    and mem = st.Stats.stall_mem_congestion
+    and sb = st.Stats.stall_scoreboard
+    and bar = st.Stats.stall_barrier
+    and idle = st.Stats.stall_idle in
+    step sm;
+    if
+      st.Stats.issue_cycles = issued
+      && st.Stats.stall_mem_congestion = mem
+      && sm.lsu_len = 0
+      && not sm.pools_dirty
+    then begin
+      (* a quiet cycle: nothing issued, nothing queued for the LSU, so
+         every scheduler repeats its stall until a warp wakes, the DynCTA
+         controller runs, or the cycle limit is reached *)
+      let until = Int.min (idle_until sm) (max_cycles + 1) in
+      let until =
+        if sm.dynamic_tlp then
+          Int.min until (((sm.now - 1) / dynamic_window + 1) * dynamic_window)
+        else until
+      in
+      let k = until - sm.now in
+      if k > 0 then begin
+        st.Stats.stall_scoreboard <-
+          st.Stats.stall_scoreboard + (k * (st.Stats.stall_scoreboard - sb));
+        st.Stats.stall_barrier <-
+          st.Stats.stall_barrier + (k * (st.Stats.stall_barrier - bar));
+        st.Stats.stall_idle <-
+          st.Stats.stall_idle + (k * (st.Stats.stall_idle - idle));
+        sm.now <- until
+      end
+    end
   done;
   finalize sm

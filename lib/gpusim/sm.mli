@@ -92,5 +92,7 @@ val run :
   -> Stats.t
 (** Single-SM convenience: private memory hierarchy, sequential block
     ids [0 .. num_blocks-1]; the launch's [tlp_limit] bounds concurrent
-    blocks.
+    blocks. Stretches of cycles in which every scheduler provably
+    repeats its stall are skipped in one jump, with the statistics
+    {!step}-ping through them would give.
     @raise Cycle_limit when [max_cycles] (default 40_000_000) elapses. *)

@@ -83,3 +83,22 @@ let pp fmt t =
     "  stalls: sb=%d mem=%d bar=%d idle=%d replays=%d; dram=%dB bankconf=%d@."
     t.stall_scoreboard t.stall_mem_congestion t.stall_barrier t.stall_idle
     t.lsu_replay_cycles t.dram_bytes t.shared_bank_conflicts
+
+let fingerprint t =
+  Printf.sprintf
+    "cycles=%d wi=%d ti=%d issue=%d sb=%d memc=%d bar=%d idle=%d replay=%d \
+     gld=%d gst=%d lld=%d lst=%d sld=%d sst=%d bankc=%d gseg=%d lseg=%d \
+     l1r=%d l1rh=%d l1w=%d l1wh=%d l1rf=%d l1wb=%d l1f=%d \
+     l2r=%d l2rh=%d l2w=%d l2wh=%d l2rf=%d l2wb=%d l2f=%d \
+     dram=%d blocks=%d maxblk=%d sfu=%d alu=%d"
+    t.cycles t.warp_instrs t.thread_instrs t.issue_cycles t.stall_scoreboard
+    t.stall_mem_congestion t.stall_barrier t.stall_idle t.lsu_replay_cycles
+    t.global_load_lanes t.global_store_lanes t.local_load_lanes
+    t.local_store_lanes t.shared_load_lanes t.shared_store_lanes
+    t.shared_bank_conflicts t.global_segments t.local_segments t.l1.Cache.reads
+    t.l1.Cache.read_hits t.l1.Cache.writes t.l1.Cache.write_hits
+    t.l1.Cache.reserve_fails t.l1.Cache.writebacks t.l1.Cache.fills
+    t.l2.Cache.reads t.l2.Cache.read_hits t.l2.Cache.writes
+    t.l2.Cache.write_hits t.l2.Cache.reserve_fails t.l2.Cache.writebacks
+    t.l2.Cache.fills t.dram_bytes t.blocks_completed t.max_concurrent_blocks
+    t.sfu_instrs t.alu_instrs

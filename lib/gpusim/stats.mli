@@ -41,3 +41,8 @@ val mem_stall_fraction : t -> float
 
 val local_accesses : t -> int
 val pp : Format.formatter -> t -> unit
+
+val fingerprint : t -> string
+(** Every field (L1/L2 counters included) on one line in a fixed
+    [key=value] format. Two simulator builds are semantics-equivalent
+    iff they print the same fingerprints; see [bench/statdump.ml]. *)

@@ -703,6 +703,98 @@ let test_trace_aborted () =
        | { G.Trace.instr = Ptx.Instr.Bra_pred _; _ } :: _ -> true
        | _ -> false)
 
+(* ---------- golden Stats pin ---------- *)
+
+(* Exact [Stats.t] (every field, as [Stats.fingerprint] prints it) of
+   the scheduling modes the timing loop must honour: GTO and LRR,
+   DynCTA throttling, L1 bypassing, the Kepler configuration, default
+   inputs at MaxTLP, the stats a [Cycle_limit] carries, and a three-SM
+   [Gpu.run]. The other timing tests check properties; this one pins
+   numbers, so it is regenerated (STATS_GOLDEN_WRITE=path) only with a
+   deliberate change to the timing model. *)
+
+let pin_max_tlp cfg (app : Workloads.App.t) =
+  max 1
+    (G.Occupancy.max_tlp cfg
+       { G.Occupancy.regs_per_thread = app.Workloads.App.default_regs
+       ; sregs_per_warp = 0
+       ; block_size = app.Workloads.App.block_size
+       ; shared_per_block = Workloads.App.shared_decl_bytes app
+       })
+
+let pin_render () =
+  let line label st = Printf.sprintf "%s %s\n" label (G.Stats.fingerprint st) in
+  let launch ?blocks abbr ~tlp =
+    let app = Workloads.Suite.find abbr in
+    let d = Workloads.App.default_input app in
+    let input =
+      { d with
+        Workloads.App.num_blocks =
+          Option.value ~default:d.Workloads.App.num_blocks blocks
+      }
+    in
+    Workloads.App.launch app ~tlp ~input ()
+  in
+  let sm ?scheduler ?dynamic_tlp ?bypass_global ?(cfg = fermi) ?blocks tag abbr
+      ~tlp =
+    line
+      (Printf.sprintf "%s/%s/tlp%d" abbr tag tlp)
+      (G.Sm.run ?scheduler ?dynamic_tlp ?bypass_global cfg
+         (launch ?blocks abbr ~tlp))
+  in
+  let at_max ?(cfg = fermi) tag abbr =
+    sm ~cfg tag abbr ~tlp:(pin_max_tlp cfg (Workloads.Suite.find abbr))
+  in
+  let limited abbr ~tlp ~max_cycles =
+    match G.Sm.run ~max_cycles fermi (launch abbr ~tlp) with
+    | _ -> Alcotest.failf "%s: no Cycle_limit at %d cycles" abbr max_cycles
+    | exception G.Sm.Cycle_limit st ->
+      line (Printf.sprintf "%s/limit%d/tlp%d" abbr max_cycles tlp) st
+  in
+  let gpu abbr ~blocks ~tlp =
+    let r = G.Gpu.run ~sms:3 fermi (launch ~blocks abbr ~tlp) in
+    Printf.sprintf "%s/gpu3/tlp%d total=%d dram=%d\n" abbr tlp
+      r.G.Gpu.total_cycles r.G.Gpu.dram_bytes
+    ^ String.concat ""
+        (Array.to_list
+           (Array.mapi
+              (fun i st -> line (Printf.sprintf "%s/gpu3/sm%d" abbr i) st)
+              r.G.Gpu.per_sm))
+  in
+  String.concat ""
+    (List.map (at_max "maxtlp") [ "GAU"; "PATH"; "KMN"; "HST"; "SPMV"; "NEED" ]
+     @ List.map (at_max ~cfg:G.Config.kepler "kepler") [ "GAU"; "KMN"; "STE" ]
+     @ [ sm ~scheduler:`Lrr "lrr" "PATH" ~blocks:4 ~tlp:2
+       ; sm ~scheduler:`Lrr "lrr" "KMN" ~blocks:6 ~tlp:3
+       ; sm ~scheduler:`Lrr "lrr" "NEED" ~tlp:2
+       ; sm ~dynamic_tlp:true "dyn" "KMN" ~tlp:5
+       ; sm ~dynamic_tlp:true "dyn" "STM" ~tlp:4
+       ; sm ~bypass_global:true "bypass" "KMN" ~blocks:6 ~tlp:3
+       ; sm ~bypass_global:true "bypass" "BFS" ~tlp:4
+       ; limited "PATH" ~tlp:1 ~max_cycles:1000
+       ; limited "KMN" ~tlp:3 ~max_cycles:5003
+       ; limited "SPMV" ~tlp:2 ~max_cycles:20_011
+       ; gpu "PATH" ~blocks:6 ~tlp:2
+       ; gpu "KMN" ~blocks:8 ~tlp:2
+       ])
+
+let test_stats_golden () =
+  let actual = pin_render () in
+  match Sys.getenv_opt "STATS_GOLDEN_WRITE" with
+  | Some path ->
+    Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc actual)
+  | None ->
+    let path =
+      List.find Sys.file_exists
+        [ "golden/stats.expected"; "test/golden/stats.expected" ]
+    in
+    let expected = In_channel.with_open_text path In_channel.input_all in
+    Alcotest.(check (list string))
+      "Stats.t fingerprints"
+      (String.split_on_char '\n' expected)
+      (String.split_on_char '\n' actual)
+
 let () =
   Alcotest.run "gpusim"
     [ ( "values"
@@ -772,6 +864,7 @@ let () =
             test_sm_more_tlp_not_slower_for_insensitive
         ; Alcotest.test_case "GTO vs LRR" `Quick test_sm_gto_vs_lrr
         ; Alcotest.test_case "cycle limit" `Quick test_cycle_limit_raised
+        ; Alcotest.test_case "golden stats" `Quick test_stats_golden
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_emulator_vs_sm ] )
     ]
