@@ -487,20 +487,20 @@ let serve_cmd =
              ~doc:"Store byte budget; least-recently-used entries are \
                    evicted past it.")
   in
-  let run socket store no_store budget jobs replay =
+  let run socket store no_store budget jobs =
     let store_dir = if no_store then None else Some store in
     Format.printf "crat daemon listening on %s (store: %s)@." socket
       (match store_dir with None -> "none" | Some d -> d);
     try
-      Serve.Daemon.run ~socket ?store_dir ~budget ~jobs ~replay
-        ~sweep:Sweep.serve_sweep ()
+      Serve.Daemon.run ~socket ?store_dir ~budget ~jobs ~sweep:Sweep.serve_sweep
+        ()
     with Failure msg ->
       Format.eprintf "%s@." msg;
       exit 1
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run $ socket_arg $ store_arg $ no_store_arg $ budget_arg
-          $ jobs_arg $ replay_arg)
+          $ jobs_arg)
 
 (* ---------- client ---------- *)
 

@@ -9,12 +9,19 @@ type report =
   ; job_wall : float
   ; max_queue_depth : int
   ; batches : int
+  ; dedup_waits : int
   }
 
 type t =
   { n_jobs : int
   ; replay : bool
   ; lock : Mutex.t
+  ; cond : Condition.t  (** broadcast whenever a batch drops its claims *)
+  ; inflight : (string, unit) Hashtbl.t
+      (** sim keys claimed by a running batch: computed once, waited on
+          by every other batch that needs them *)
+  ; recording : (string, unit) Hashtbl.t
+      (** launch keys whose trace a running batch is recording *)
   ; disk : Store.t option
       (** persistent write-through layer under all three in-memory
           stores; answers are bit-identical (Marshal round-trips) *)
@@ -36,6 +43,7 @@ type t =
   ; mutable job_wall : float
   ; mutable max_queue_depth : int
   ; mutable batches : int
+  ; mutable dedup_waits : int
   }
 
 let create ?(jobs = 1) ?(replay = true) ?trace_budget ?store () =
@@ -51,6 +59,9 @@ let create ?(jobs = 1) ?(replay = true) ?trace_budget ?store () =
   { n_jobs = jobs
   ; replay
   ; lock = Mutex.create ()
+  ; cond = Condition.create ()
+  ; inflight = Hashtbl.create 16
+  ; recording = Hashtbl.create 16
   ; disk = store
   ; sim_store = Hashtbl.create 256
   ; traces = Gpusim.Replay.Store.create ?max_events:trace_budget ?on_evict ()
@@ -66,6 +77,7 @@ let create ?(jobs = 1) ?(replay = true) ?trace_budget ?store () =
   ; job_wall = 0.
   ; max_queue_depth = 0
   ; batches = 0
+  ; dedup_waits = 0
   }
 
 let jobs t = t.n_jobs
@@ -364,89 +376,150 @@ let exec t p =
   else if p.record then exec_record t p
   else exec_replay t p
 
-let simulate_batch ?(cache = true) t items =
+(* Claim-or-wait: a batch claims each distinct key nobody has stored or
+   claimed, computes its claims in two waves, publishes them and drops
+   the claims under [Fun.protect]; only then does it wait for the keys
+   other batches hold. Waiting after computing means no cycle of waits.
+   A claimant that raises publishes nothing, so a woken waiter finds
+   neither an answer nor a claim and computes the key itself. *)
+let rec simulate_batch ?(cache = true) t items =
   let items = Array.of_list items in
   let keys =
     Array.map (fun (l, cfg, tlp) -> sim_key t l cfg ~tlp) items
   in
-  (* distinct uncached keys, in first-occurrence order *)
-  let seen = Hashtbl.create 16 in
-  let lkeys_recording = Hashtbl.create 16 in
-  let pending = ref [] in
-  Array.iteri
-    (fun i k ->
-       if not (Hashtbl.mem seen k) then begin
-         Hashtbl.add seen k ();
-         let stored =
-           cache
-           && (locked t (fun () -> Hashtbl.mem t.sim_store k)
-               ||
-               (* persistent layer: statistics computed by an earlier
-                  process answer without any simulation at all *)
-               match disk_get_stats t k with
-               | Some st ->
-                 locked t (fun () -> Hashtbl.replace t.sim_store k st);
-                 true
-               | None -> false)
-         in
-         if not stored then begin
-           let launch, cfg, tlp = items.(i) in
-           let lkey = launch_key t launch in
-           (* first pending point of a launch whose trace is absent from
-              both the resident and the persistent store records it;
-              later points of the same launch replay *)
-           let record =
-             cache && t.replay
-             && (not (Hashtbl.mem lkeys_recording lkey))
-             && (not (Gpusim.Replay.Store.mem t.traces lkey))
-             && not (disk_mem_trace t lkey)
-           in
-           if record then Hashtbl.add lkeys_recording lkey ();
-           pending := { launch; cfg; tlp; skey = k; lkey; record } :: !pending
-         end
-       end)
-    keys;
-  let pending = Array.of_list (List.rev !pending) in
-  let depth = Array.length pending in
-  locked t (fun () ->
-    t.batches <- t.batches + 1;
-    if depth > t.max_queue_depth then t.max_queue_depth <- depth);
-  (* two waves: recorders first, so every other point of the same
-     launch — possibly on another domain — replays rather than paying
-     functional execution again *)
-  let wave which =
-    pmap t
-      (fun p ->
-         let t0 = now () in
-         let st = exec t p in
-         (p.skey, st, now () -. t0))
-      (Array.of_seq
-         (Seq.filter (fun p -> p.record = which) (Array.to_seq pending)))
+  let answers = Hashtbl.create 16 in
+  let pending = ref [] and busy = ref [] in
+  (* the sim and launch keys this batch claimed *)
+  let claims = ref [] and records = ref [] in
+  let release () =
+    if !claims <> [] || !records <> [] then
+      locked t (fun () ->
+        List.iter (Hashtbl.remove t.inflight) !claims;
+        List.iter (Hashtbl.remove t.recording) !records;
+        Condition.broadcast t.cond)
   in
-  (* the recording wave must fully finish before the replay wave starts
-     (and argument evaluation order would run them backwards) *)
-  let recorded = wave true in
-  let replayed = wave false in
-  let computed = Array.append recorded replayed in
-  let fresh = Hashtbl.create (max 1 depth) in
+  let claim i k =
+    let launch, cfg, tlp = items.(i) in
+    let state =
+      if not cache then `Claimed
+      else
+        locked t (fun () ->
+          match Hashtbl.find_opt t.sim_store k with
+          | Some st -> `Stored st
+          | None when Hashtbl.mem t.inflight k -> `Busy
+          | None ->
+            Hashtbl.replace t.inflight k ();
+            claims := k :: !claims;
+            `Claimed)
+    in
+    match state with
+    | `Stored st -> Hashtbl.replace answers k st
+    | `Busy -> busy := i :: !busy
+    | `Claimed ->
+      (* persistent layer: statistics computed by an earlier process
+         answer without any simulation at all *)
+      (match if cache then disk_get_stats t k else None with
+       | Some st ->
+         locked t (fun () -> Hashtbl.replace t.sim_store k st);
+         Hashtbl.replace answers k st
+       | None ->
+         let lkey = launch_key t launch in
+         (* the first claimed point of a launch whose trace is absent
+            from both stores, and that no other batch is recording,
+            records it; every other point replays *)
+         let record =
+           cache && t.replay
+           && (not (disk_mem_trace t lkey))
+           && locked t (fun () ->
+                let free =
+                  not
+                    (Hashtbl.mem t.recording lkey
+                     || Gpusim.Replay.Store.mem t.traces lkey)
+                in
+                if free then begin
+                  Hashtbl.replace t.recording lkey ();
+                  records := lkey :: !records
+                end;
+                free)
+         in
+         pending := { launch; cfg; tlp; skey = k; lkey; record } :: !pending)
+  in
+  let computed =
+    Fun.protect ~finally:release @@ fun () ->
+    let seen = Hashtbl.create 16 in
+    Array.iteri
+      (fun i k ->
+         if not (Hashtbl.mem seen k) then begin
+           Hashtbl.add seen k ();
+           claim i k
+         end)
+      keys;
+    let pending = Array.of_list (List.rev !pending) in
+    let depth = Array.length pending in
+    locked t (fun () ->
+      t.batches <- t.batches + 1;
+      if depth > t.max_queue_depth then t.max_queue_depth <- depth);
+    (* two waves: recorders first, so every other point of the same
+       launch — possibly on another domain — replays rather than paying
+       functional execution again *)
+    let wave which =
+      pmap t
+        (fun p ->
+           let t0 = now () in
+           let st = exec t p in
+           (p.skey, st, now () -. t0))
+        (Array.of_seq
+           (Seq.filter (fun p -> p.record = which) (Array.to_seq pending)))
+    in
+    (* the recording wave must fully finish before the replay wave starts
+       (and argument evaluation order would run them backwards) *)
+    let recorded = wave true in
+    let replayed = wave false in
+    let computed = Array.append recorded replayed in
+    locked t (fun () ->
+      Array.iter
+        (fun (k, st, dt) ->
+           t.sim_runs <- t.sim_runs + 1;
+           t.job_wall <- t.job_wall +. dt;
+           if cache then Hashtbl.replace t.sim_store k st)
+        computed;
+      t.sim_hits <-
+        t.sim_hits + (Array.length items - depth - List.length !busy));
+    computed
+  in
   Array.iter
-    (fun (k, st, dt) ->
-       Hashtbl.replace fresh k st;
-       locked t (fun () ->
-         t.sim_runs <- t.sim_runs + 1;
-         t.job_wall <- t.job_wall +. dt;
-         if cache then Hashtbl.replace t.sim_store k st);
+    (fun (k, st, _) ->
+       Hashtbl.replace answers k st;
        if cache then disk_put_value t ~kind:"stats" ~key:k st)
     computed;
+  List.iter
+    (fun i ->
+       let k = keys.(i) in
+       let rec await () =
+         match Hashtbl.find_opt t.sim_store k with
+         | Some st ->
+           t.dedup_waits <- t.dedup_waits + 1;
+           Some st
+         | None when Hashtbl.mem t.inflight k ->
+           Condition.wait t.cond t.lock;
+           await ()
+         | None -> None
+       in
+       let st =
+         match locked t await with
+         | Some st -> st
+         | None -> List.hd (simulate_batch ~cache t [ items.(i) ])
+       in
+       Hashtbl.replace answers k st)
+    (List.rev !busy);
+  Array.to_list (Array.map (Hashtbl.find answers) keys)
+
+let find t l cfg ~tlp =
+  let k = sim_key t l cfg ~tlp in
   locked t (fun () ->
-    t.sim_hits <- t.sim_hits + (Array.length items - depth));
-  Array.to_list
-    (Array.map
-       (fun k ->
-          match Hashtbl.find_opt fresh k with
-          | Some st -> st
-          | None -> locked t (fun () -> Hashtbl.find t.sim_store k))
-       keys)
+    let found = Hashtbl.find_opt t.sim_store k in
+    if Option.is_some found then t.sim_hits <- t.sim_hits + 1;
+    found)
 
 let simulate ?cache t l cfg ~tlp =
   match simulate_batch ?cache t [ (l, cfg, tlp) ] with
@@ -470,6 +543,7 @@ let report t =
     ; job_wall = t.job_wall
     ; max_queue_depth = t.max_queue_depth
     ; batches = t.batches
+    ; dedup_waits = t.dedup_waits
     })
 
 let reset t =
@@ -487,7 +561,8 @@ let reset t =
     t.alloc_hits <- 0;
     t.job_wall <- 0.;
     t.max_queue_depth <- 0;
-    t.batches <- 0)
+    t.batches <- 0;
+    t.dedup_waits <- 0)
 
 let pp_report fmt r =
   Format.fprintf fmt

@@ -20,6 +20,14 @@
     execution. Replayed statistics are bit-identical to cold runs —
     replay is a pure caching layer. Disable with [~replay:false].
 
+    Thread safety: any number of domains and threads may share one
+    engine. A key that one caller is computing is computed once: every
+    other batch that needs it waits for the answer (counted in
+    [dedup_waits]) instead of running it again, and a launch whose trace
+    one batch is recording is not recorded by another at the same time.
+    If the computing batch raises, its claims are dropped and a waiter
+    computes the key itself, so a failure never wedges the others.
+
     Determinism: simulations are pure functions of their key, so the
     statistics returned for any job are bit-identical whatever [jobs]
     is and whether replay is on; [~jobs:1] additionally executes
@@ -42,6 +50,10 @@ type report =
   ; max_queue_depth : int
       (** largest number of uncached jobs queued by one batch *)
   ; batches : int  (** batch submissions (single runs count as one) *)
+  ; dedup_waits : int
+      (** simulations answered by waiting for another batch that was
+          computing the same key; each requested point counts once, as a
+          run, a hit or a wait *)
   }
 
 val create :
@@ -125,6 +137,13 @@ val cycles :
   -> tlp:int
   -> int
 
+val find :
+  t -> Gpusim.Launch.t -> Gpusim.Config.t -> tlp:int -> Gpusim.Stats.t option
+(** The statistics of a point already in the in-memory stats store,
+    counted as a [sim_hit]; [None] otherwise, counting nothing. Never
+    reads the persistent store and never simulates, so it is cheap
+    enough to answer repeats without handing the point to a domain. *)
+
 val simulate_batch :
   ?cache:bool
   -> t
@@ -135,9 +154,10 @@ val simulate_batch :
     already-stored keys are answered from the store; the remaining
     distinct points fan across up to [jobs] domains in two waves —
     first one recording run per distinct launch missing a trace, then
-    every other point replaying. Sweep-shaped drivers (fig2, fig13,
-    fig18, ...) should build their full point list and submit it here
-    rather than looping over {!simulate}. *)
+    every other point replaying. Keys another batch is computing are
+    waited for once this batch's own points are done. Sweep-shaped
+    drivers (fig2, fig13, fig18, ...) should build their full point list
+    and submit it here rather than looping over {!simulate}. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Domain-parallel [List.map] for coarse-grained independent work

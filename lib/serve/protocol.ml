@@ -40,8 +40,10 @@ type server_stats =
   ; requests : int
   ; points : int  (** simulation points served (including dedup'd ones) *)
   ; dedup_hits : int
-      (** points answered by waiting on an identical in-flight request
-          from another client instead of computing *)
+      (** points answered by waiting for another client's in-flight
+          computation of the same key instead of computing it (the
+          engine's [dedup_waits]); every point counts once, as one of
+          [sim_runs], [sim_hits] or [dedup_hits] *)
   ; sim_runs : int
   ; sim_hits : int
   ; trace_records : int
@@ -56,7 +58,9 @@ type server_stats =
   ; store_evictions : int
   }
 
-(* fraction of points that needed no cold functional execution *)
+(* fraction of computed or stored points that needed no cold functional
+   execution; repeats answered from the engine's memory count as
+   [sim_hits], waits on in-flight points are left out *)
 let hit_rate s =
   let total = s.sim_runs + s.sim_hits in
   if total = 0 then 1.0

@@ -224,16 +224,39 @@ let test_parallel_stress () =
        check_int (Printf.sprintf "task %d matches serial" i)
          st.Gpusim.Stats.cycles cycles)
     results;
-  (* racing domains may duplicate a simulation whose key is in flight,
-     but every request is accounted as exactly one run or one hit *)
+  (* a key in flight is computed once and waited on by every other
+     domain; every request is one run, one hit or one wait *)
   let rep = Crat.Engine.report e in
-  check "every request accounted" true
-    (rep.Crat.Engine.sim_runs + rep.Crat.Engine.sim_hits = 32
-     && rep.Crat.Engine.alloc_runs + rep.Crat.Engine.alloc_hits = 32);
-  check "at least the distinct work ran" true
-    (rep.Crat.Engine.sim_runs >= 6 && rep.Crat.Engine.alloc_runs >= 2);
+  check_int "each distinct point simulated once" 6 rep.Crat.Engine.sim_runs;
+  check_int "every simulation accounted" 32
+    (rep.Crat.Engine.sim_runs + rep.Crat.Engine.sim_hits
+     + rep.Crat.Engine.dedup_waits);
+  check_int "each launch recorded once" 2 rep.Crat.Engine.trace_records;
+  check "every allocation accounted" true
+    (rep.Crat.Engine.alloc_runs + rep.Crat.Engine.alloc_hits = 32);
+  check "at least the distinct allocations ran" true
+    (rep.Crat.Engine.alloc_runs >= 2);
   check "store still absorbed most of the load" true
     (rep.Crat.Engine.sim_hits > 0 && rep.Crat.Engine.alloc_hits > 0)
+
+(* A claimant that raises must drop its claim: concurrent callers of the
+   same failing key raise too instead of waiting forever, and so does a
+   later call. *)
+let test_failure_releases_claim () =
+  let e = Crat.Engine.create ~jobs:2 () in
+  let a = small_app "GAU" in
+  (* Sm.create rejects a launch whose warp size differs from the
+     configuration's *)
+  let bad = { (launch_of a) with Gpusim.Launch.warp_size = 16 } in
+  let raises () =
+    match Crat.Engine.simulate e bad fermi ~tlp:1 with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "every concurrent call raises" true
+    (List.for_all Fun.id (Crat.Engine.map e (fun _ -> raises ()) [ 1; 2 ]));
+  check "a later call raises rather than blocks" true (raises ());
+  check_int "nothing published" 0 (Crat.Engine.report e).Crat.Engine.sim_runs
 
 let test_reset () =
   let e = Crat.Engine.create () in
@@ -279,5 +302,7 @@ let () =
             test_design_space_batch_determinism
         ; Alcotest.test_case "8-domain stress vs serial" `Slow
             test_parallel_stress
+        ; Alcotest.test_case "failed claim released" `Quick
+            test_failure_releases_claim
         ] )
     ]

@@ -92,7 +92,7 @@ let test_simulate_and_dedup () =
   check "two results" true (Array.length first = 2);
   check "results distinct" true (first.(0) <> first.(1));
   (* a second client asking the same points must be answered from the
-     session cache: no new simulations *)
+     engine's memory: no new simulations *)
   let second, stats =
     with_client socket (fun c ->
       let s =
@@ -216,7 +216,15 @@ let test_concurrent_clients () =
     cs.Serve.Protocol.trace_records;
   Alcotest.(check int) "cold: 24 points served" 24 cs.Serve.Protocol.points;
   Alcotest.(check int) "warm: nothing simulated" 0 ws.Serve.Protocol.sim_runs;
-  check "warm hit rate >= 0.9" true (Serve.Protocol.hit_rate ws >= 0.9)
+  check "warm hit rate >= 0.9" true (Serve.Protocol.hit_rate ws >= 0.9);
+  (* every point served is one engine run, hit or in-flight wait *)
+  List.iter
+    (fun (name, (s : Serve.Protocol.server_stats)) ->
+       Alcotest.(check int) (name ^ ": every point accounted")
+         s.Serve.Protocol.points
+         (s.Serve.Protocol.sim_runs + s.Serve.Protocol.sim_hits
+          + s.Serve.Protocol.dedup_hits))
+    [ ("cold", cs); ("warm", ws) ]
 
 let test_server_side_sweep () =
   let dir = temp_dir "serve-sweep" in
