@@ -324,57 +324,51 @@ type point =
   ; record : bool  (** this point records the launch's trace (wave 1) *)
   }
 
-(* The engine must not mutate a submitted launch (its memory backs the
-   content key), so every functional execution runs on a copy. *)
-let cold_launch (p : point) =
-  { p.launch with
-    Gpusim.Launch.memory = Gpusim.Memory.copy p.launch.Gpusim.Launch.memory
-  ; tlp_limit = p.tlp
-  }
-
-let exec_cold p = Gpusim.Sm.run p.cfg (cold_launch p)
-
-(* Record while running cold; store the trace only after a successful
-   run (a Cycle_limit abort must not leave a truncated trace behind).
-   The persistent store gets the trace too — that is what makes "record
-   each launch once ever" hold across processes. *)
-let exec_record t p =
-  let tr = Gpusim.Replay.create p.launch in
-  let st = Gpusim.Sm.run ~record:tr p.cfg (cold_launch p) in
-  Gpusim.Replay.finish tr;
-  Gpusim.Replay.Store.add t.traces p.lkey tr;
-  disk_put_trace t p.lkey tr;
-  locked t (fun () -> t.trace_records <- t.trace_records + 1);
-  st
-
-(* Replay leaves the launch memory untouched, so no copy is needed; a
-   trace missing from the in-memory budget is refetched from the
-   persistent store (re-resident for the rest of the sweep), and only
-   a launch absent from both falls back to a cold run. *)
-let exec_replay t p =
-  let resident =
-    match Gpusim.Replay.Store.find t.traces p.lkey with
-    | Some _ as tr -> tr
-    | None ->
-      (match disk_get_trace t p.lkey with
-       | Some tr ->
-         Gpusim.Replay.Store.add t.traces p.lkey tr;
-         Some tr
-       | None -> None)
+(* One point: find the launch's trace — in memory, then on disk
+   (re-resident for the rest of the sweep) — otherwise record one, then
+   time it. Recording executes functionally, so it runs on a copy: the
+   engine must not mutate a submitted launch, whose memory backs the
+   content key. A point that records for the engine keeps the trace
+   only after a successful run (a Cycle_limit abort must not leave a
+   truncated trace behind), and the persistent store gets it too — that
+   is what makes "record each launch once ever" hold across processes.
+   Every other recorded trace is dropped. *)
+let exec t p =
+  let found =
+    if t.replay && not p.record then
+      match Gpusim.Replay.Store.find t.traces p.lkey with
+      | Some _ as tr -> tr
+      | None ->
+        Option.map
+          (fun tr ->
+             Gpusim.Replay.Store.add t.traces p.lkey tr;
+             tr)
+          (disk_get_trace t p.lkey)
+    else None
   in
-  match resident with
+  match found with
   | Some tr ->
     let st =
       Gpusim.Sm.run ~replay:tr p.cfg (Gpusim.Launch.with_tlp p.launch p.tlp)
     in
     locked t (fun () -> t.trace_replays <- t.trace_replays + 1);
     st
-  | None -> exec_cold p
-
-let exec t p =
-  if not t.replay then exec_cold p
-  else if p.record then exec_record t p
-  else exec_replay t p
+  | None ->
+    let tr = Gpusim.Replay.create p.launch in
+    let st =
+      Gpusim.Sm.run ~record:tr p.cfg
+        { p.launch with
+          Gpusim.Launch.memory = Gpusim.Memory.copy p.launch.Gpusim.Launch.memory
+        ; tlp_limit = p.tlp
+        }
+    in
+    if p.record then begin
+      Gpusim.Replay.finish tr;
+      Gpusim.Replay.Store.add t.traces p.lkey tr;
+      disk_put_trace t p.lkey tr;
+      locked t (fun () -> t.trace_records <- t.trace_records + 1)
+    end;
+    st
 
 (* Claim-or-wait: a batch claims each distinct key nobody has stored or
    claimed, computes its claims in two waves, publishes them and drops

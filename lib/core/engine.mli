@@ -14,11 +14,13 @@
     Trace-driven replay: the dynamic (pc, mask, address) trace of a
     launch is invariant across timing configurations, so the engine
     also keeps a {!Gpusim.Replay.Store} keyed by launch only (no
-    config, no TLP). The first simulation of a launch records its trace
-    as a side effect; every later (config, tlp) point of the same
-    launch replays it through the timing layer, skipping functional
-    execution. Replayed statistics are bit-identical to cold runs —
-    replay is a pure caching layer. Disable with [~replay:false].
+    config, no TLP). {!Gpusim.Sm} only ever times a trace, so a cold
+    point differs from a replayed one only in where its trace comes
+    from: the first simulation of a launch records it, and every later
+    (config, tlp) point of the same launch replays it, skipping
+    functional execution. Replayed statistics are bit-identical to cold
+    runs by construction — replay is a pure caching layer. With
+    [~replay:false] traces are neither looked up nor kept.
 
     Thread safety: any number of domains and threads may share one
     engine. A key that one caller is computing is computed once: every
@@ -63,7 +65,9 @@ val create :
     domain, and the effective width is clamped to
     [Domain.recommended_domain_count] (oversubscribing cores only adds
     GC-barrier overhead, and cannot change any answer).
-    [replay] (default true) enables the trace store;
+    [replay] (default true) enables the trace store: with [false] no
+    trace is looked up or kept, and every simulation records a private
+    one;
     [trace_budget] bounds its resident footprint in trace events (see
     {!Gpusim.Replay.Store.create}).
 
@@ -125,9 +129,9 @@ val simulate :
 (** Simulate one launch point through the stores: answer from the stats
     store when possible, else replay the launch's recorded trace under
     the given config/TLP, else run cold (recording the trace for next
-    time). [~cache:false] bypasses both stores entirely (always
-    simulates functionally, stores nothing) — used by the
-    profiling-overhead experiment to pay the real cost. *)
+    time). [~cache:false] bypasses the stats store and keeps nothing: it
+    records a private trace unless one is already resident — used by
+    the profiling-overhead experiment to pay the real cost. *)
 
 val cycles :
   ?cache:bool

@@ -130,6 +130,14 @@ type t =
   ; slot_of_key : (int, int) Hashtbl.t
   }
 
+(* branch-free SWAR popcount over OCaml's 63-bit ints: pairwise, then
+   nibble-wise sums, then one multiply gathers the byte counts *)
+let popcount m =
+  let m = m - ((m lsr 1) land 0x1555555555555555) in
+  let m = (m land 0x3333333333333333) + ((m lsr 2) land 0x3333333333333333) in
+  let m = (m + (m lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (m * 0x0101010101010101) lsr 56 land 0x7F
+
 let reg_key r =
   let cls =
     match Ptx.Types.reg_class (Ptx.Reg.ty r) with

@@ -114,6 +114,9 @@ type t = private
   ; slot_of_key : (int, int) Hashtbl.t
   }
 
+val popcount : int -> int
+(** Number of set bits — active lanes of a mask. Branch-free SWAR. *)
+
 val reg_key : Ptx.Reg.t -> int
 (** Physical-slot key: width class and id, ignoring the scalar type —
     two registers with the same colour share a slot. *)

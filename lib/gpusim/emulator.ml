@@ -47,17 +47,17 @@ let run_block ?observe lctx ~ctaid ~warp_size =
   done;
   if not (all_done ()) then failwith "Emulator: barrier deadlock"
 
+let launch_ctx ?sanitize image (l : Launch.t) =
+  { Interp.image
+  ; global = l.Launch.memory
+  ; params = l.Launch.params
+  ; block_size = l.Launch.block_size
+  ; num_blocks = l.Launch.num_blocks
+  ; san = sanitize
+  }
+
 let run ?observe ?sanitize ?ctaid (l : Launch.t) =
-  let image = Image.prepare l.Launch.kernel in
-  let lctx =
-    { Interp.image
-    ; global = l.Launch.memory
-    ; params = l.Launch.params
-    ; block_size = l.Launch.block_size
-    ; num_blocks = l.Launch.num_blocks
-    ; san = sanitize
-    }
-  in
+  let lctx = launch_ctx ?sanitize (Image.prepare l.Launch.kernel) l in
   let block ctaid = run_block ?observe lctx ~ctaid ~warp_size:l.Launch.warp_size in
   match ctaid with
   | Some c -> block c
@@ -65,6 +65,25 @@ let run ?observe ?sanitize ?ctaid (l : Launch.t) =
     for c = 0 to l.Launch.num_blocks - 1 do
       block c
     done
+
+let record tr (l : Launch.t) ~ctaid =
+  let code = (Replay.image tr).Image.code in
+  let observe w ~pc ~mask e =
+    (* a warp that runs off the end of the code exits without issuing:
+       that step is not an instruction, so it is not recorded *)
+    if pc < Array.length code.Dcode.code then begin
+      let wt = Replay.wtrace tr ~ctaid ~wid:(Interp.warp_id w) in
+      Replay.record wt ~pc ~mask;
+      match e with
+      | Interp.E_mem _ ->
+        for i = 0 to Interp.mem_count w - 1 do
+          Replay.record_addr wt (Interp.mem_addr w i)
+        done
+      | Interp.E_alu _ | Interp.E_barrier | Interp.E_exit -> ()
+    end
+  in
+  run_block ~observe (launch_ctx (Replay.image tr) l) ~ctaid
+    ~warp_size:l.Launch.warp_size
 
 let run_to_memory (l : Launch.t) =
   let m = Memory.copy l.Launch.memory in

@@ -7,8 +7,8 @@ type result =
 
 exception Cycle_limit of result
 
-let run ?sms ?(max_cycles = 40_000_000) ?scheduler ?record ?replay
-    (cfg : Config.t) (l : Launch.t) =
+let run ?sms ?(max_cycles = 40_000_000) ?scheduler (cfg : Config.t)
+    (l : Launch.t) =
   let n_sms = Option.value ~default:cfg.Config.num_sms sms in
   let shared = Sm.make_shared cfg in
   let next = ref 0 in
@@ -21,10 +21,11 @@ let run ?sms ?(max_cycles = 40_000_000) ?scheduler ?record ?replay
     end
   in
   (* block ids are dispensed globally, so each block lands on exactly
-     one SM and a shared trace records (or replays) each exactly once *)
+     one SM and one shared trace records each exactly once *)
+  let record = Replay.create l in
   let units =
     Array.init n_sms (fun _ ->
-      Sm.create ?scheduler ?record ?replay cfg shared ~next_block l)
+      Sm.create ?scheduler ~record cfg shared ~next_block l)
   in
   let cycle = ref 0 in
   let mk_result () =

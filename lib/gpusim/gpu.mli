@@ -23,12 +23,6 @@ val run :
   ?sms:int
   -> ?max_cycles:int
   -> ?scheduler:[ `Gto | `Lrr ]
-  -> ?record:Replay.t
-      (** capture the launch's dynamic trace while executing (block ids
-          are global, so one shared trace covers all SMs) *)
-  -> ?replay:Replay.t
-      (** drive every SM from this recorded trace instead of executing
-          functionally *)
   -> Config.t
   -> Launch.t
   -> result

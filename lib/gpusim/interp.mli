@@ -89,9 +89,6 @@ val mem_addr : warp -> int -> int64
 val mem_lane : warp -> int -> int
 (** [i]-th recorded lane, ascending. *)
 
-val popcount : int -> int
-(** Number of set bits — active lanes of a mask. Branch-free SWAR. *)
-
 val read_reg_values : warp -> Ptx.Reg.t -> Value.t array
 (** Current per-lane values of a register (testing/debugging). *)
 

@@ -8,10 +8,12 @@
     addresses. All three are invariant across timing configurations for
     a fixed launch (kernel image, geometry, parameters, initial
     memory): this is the trace-mode decoupling of GPGPU-Sim/Accel-Sim.
-    A recording run captures them per warp in flat growable arrays; a
-    {!cursor} then feeds them back to the timing layer, skipping
-    {!Dcode} operand evaluation and register-file writes entirely, and
-    a replayed run's {!Stats.t} is bit-identical to a cold one.
+    {!Emulator.record} captures them per warp in flat growable arrays;
+    a {!cursor} then feeds them to the timing layer, skipping {!Dcode}
+    operand evaluation and register-file writes entirely. Cursors are
+    the only front end {!Sm} has — a cold run records each block as it
+    dispatches it — so a replayed run's {!Stats.t} is bit-identical to
+    a cold one by construction.
 
     Traces are keyed by {!launch_key} — kernel image, geometry,
     parameters and a canonical {!Memory.digest} of the initial memory,
@@ -47,7 +49,7 @@ val wtrace : t -> ctaid:int -> wid:int -> wtrace
 
 val record : wtrace -> pc:int -> mask:int -> unit
 (** Append one issued instruction. For a memory instruction
-    ([Dcode.exec_of.(pc)] is [E_mem]), exactly [popcount mask] lane
+    ([Dcode.exec_of.(pc)] is [E_mem]), exactly [Dcode.popcount mask] lane
     addresses must follow via {!record_addr} before the next {!record}. *)
 
 val record_addr : wtrace -> int64 -> unit
@@ -59,9 +61,9 @@ val finish : t -> unit
 (** {2 Replay} *)
 
 type cursor
-(** A replay front-end over one warp's trace, presenting the same
-    stepping surface {!Sm} consumes from a live {!Interp.warp}:
-    {!fetch}/{!active_mask}/{!step}/{!mem_count}/{!mem_addr}. *)
+(** A replay front-end over one warp's trace: the stepping surface
+    {!Sm} issues from, {!fetch}/{!active_mask}/{!step}/{!mem_count}/
+    {!mem_addr}. *)
 
 val cursor : t -> ctaid:int -> wid:int -> cursor
 val is_done : cursor -> bool
@@ -86,8 +88,10 @@ val launch_key : ?kernel_digest:string -> Launch.t -> string
     image (pass [kernel_digest] to reuse a memoized digest of
     [l.kernel]), block size, grid size, warp size, parameters and the
     canonical initial-memory digest. Ignores timing configuration and
-    [tlp_limit] — the trace is schedule-independent for the race-free
-    kernels the simulator models. *)
+    [tlp_limit]. The trace is schedule-independent by construction, racy
+    kernels included: it is recorded on {!Emulator}'s schedule (blocks
+    in dispatch order, each warp run to its next barrier), never on the
+    timed interleaving. *)
 
 val to_bytes : t -> string
 (** Marshal a finished trace (the whole record, prepared image

@@ -1,44 +1,5 @@
 exception Cycle_limit of Stats.t
 
-(* The instruction front-end: either a live functional interpreter warp
-   or a replay cursor over a previously recorded trace. The timing
-   machinery below consumes only the surface both share — next pc,
-   active mask, step outcome and resolved lane addresses — so replay
-   produces bit-identical statistics while skipping operand evaluation
-   and register-file writes entirely. *)
-type front =
-  | Live of Interp.warp
-  | Cur of Replay.cursor
-
-let f_done = function
-  | Live w -> Interp.is_done w
-  | Cur c -> Replay.is_done c
-
-let f_fetch = function
-  | Live w -> Interp.fetch w
-  | Cur c -> Replay.fetch c
-
-let f_mask = function
-  | Live w -> Interp.active_mask w
-  | Cur c -> Replay.active_mask c
-
-let f_wid = function
-  | Live w -> Interp.warp_id w
-  | Cur c -> Replay.warp_id c
-
-let f_step = function
-  | Live w -> Interp.step w
-  | Cur c -> Replay.step c
-
-let f_mem_count = function
-  | Live w -> Interp.mem_count w
-  | Cur c -> Replay.mem_count c
-
-let f_mem_addr f i =
-  match f with
-  | Live w -> Interp.mem_addr w i
-  | Cur c -> Replay.mem_addr c i
-
 (* an in-flight load: registers become ready when all segments return *)
 type pending_load =
   { defs : int array  (** scoreboard slots (shared with Dcode, read-only) *)
@@ -48,8 +9,7 @@ type pending_load =
   }
 
 and wstate =
-  { w : front
-  ; tr : Replay.wtrace option  (** recording sink, when capturing a trace *)
+  { w : Replay.cursor
   ; sb : int array  (** scoreboard: register slot -> ready cycle *)
   ; mutable wake : int
       (** first cycle at which every use/def slot of the next pc is
@@ -117,11 +77,6 @@ let shared_l2_stats m = Cache.stats m.l2
 
 (* ---------- SM state ---------- *)
 
-type mode =
-  | M_live
-  | M_record of Replay.t
-  | M_replay of Replay.t
-
 (* The LSU segment queue is a ring of parallel arrays (addresses as bit
    patterns in a float array; write/write_alloc/bypass packed into flag
    bits) so the steady state pushes and pops without allocating. The
@@ -130,9 +85,11 @@ type mode =
 type t =
   { cfg : Config.t
   ; st : Stats.t
-  ; lctx : Interp.launch_ctx
+  ; trace : Replay.t
+  ; emulate : Launch.t option
+      (** the launch each dispatched block is recorded from, unless
+          [trace] was recorded beforehand *)
   ; code : Dcode.t
-  ; mode : mode
   ; nwarps : int  (* warps per block *)
   ; shared : shared_memsys
   ; l1 : Cache.t
@@ -169,18 +126,11 @@ let launch_block sm =
       sm.active_blocks <- sm.active_blocks + 1;
       sm.st.Stats.max_concurrent_blocks <-
         max sm.st.Stats.max_concurrent_blocks sm.active_blocks;
-      let fronts =
-        match sm.mode with
-        | M_live | M_record _ ->
-          let _bctx, warps =
-            Interp.make_block sm.lctx ~ctaid ~warp_size:sm.cfg.Config.warp_size
-          in
-          List.map (fun w -> Live w) warps
-        | M_replay tr ->
-          List.init sm.nwarps (fun wid -> Cur (Replay.cursor tr ~ctaid ~wid))
-      in
+      (match sm.emulate with
+       | Some l -> Emulator.record sm.trace l ~ctaid
+       | None -> ());
       let bs =
-        { live_warps = List.length fronts
+        { live_warps = sm.nwarps
         ; at_barrier = 0
         ; warps = []
         ; paused = false
@@ -189,21 +139,15 @@ let launch_block sm =
       in
       let nslots = max 1 (Dcode.num_slots sm.code) in
       bs.warps <-
-        List.mapi
-          (fun wid w ->
-             sm.age_counter <- sm.age_counter + 1;
-             { w
-             ; tr =
-                 (match sm.mode with
-                  | M_record tr -> Some (Replay.wtrace tr ~ctaid ~wid)
-                  | M_live | M_replay _ -> None)
-             ; sb = Array.make nslots 0
-             ; wake = -1
-             ; waiting_barrier = false
-             ; bstate = bs
-             ; age = sm.age_counter
-             })
-          fronts;
+        List.init sm.nwarps (fun wid ->
+          sm.age_counter <- sm.age_counter + 1;
+          { w = Replay.cursor sm.trace ~ctaid ~wid
+          ; sb = Array.make nslots 0
+          ; wake = -1
+          ; waiting_barrier = false
+          ; bstate = bs
+          ; age = sm.age_counter
+          });
       sm.live_blocks <- sm.live_blocks @ [ bs ];
       sm.pools_dirty <- true
   end
@@ -215,10 +159,10 @@ let rebuild_pools sm =
       (fun bs -> if bs.paused then [] else bs.warps)
       sm.live_blocks
   in
-  let alive = List.filter (fun ws -> not (f_done ws.w)) all in
+  let alive = List.filter (fun ws -> not (Replay.is_done ws.w)) all in
   for s = 0 to total - 1 do
     sm.pools.(s) <-
-      Array.of_list (List.filter (fun ws -> f_wid ws.w mod total = s) alive)
+      Array.of_list (List.filter (fun ws -> Replay.warp_id ws.w mod total = s) alive)
   done;
   (* blocks are appended in launch order and warps in wid order, so the
      pools are already oldest-first *)
@@ -228,33 +172,23 @@ let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
     ?record ?replay (cfg : Config.t) shared ~next_block (l : Launch.t) =
   if l.Launch.warp_size <> cfg.Config.warp_size then
     invalid_arg "Sm.create: launch warp_size differs from the configuration's";
-  let mode, image =
+  let trace, emulate =
     match (record, replay) with
     | Some _, Some _ -> invalid_arg "Sm.create: record and replay are exclusive"
-    | Some tr, None -> (M_record tr, Replay.image tr)
-    | None, Some tr ->
-      if
-        Replay.block_size tr <> l.Launch.block_size
-        || Replay.num_blocks tr <> l.Launch.num_blocks
-        || Replay.warp_size tr <> l.Launch.warp_size
-      then invalid_arg "Sm.create: replay trace does not match the launch";
-      (M_replay tr, Replay.image tr)
-    | None, None -> (M_live, Image.prepare l.Launch.kernel)
+    | Some tr, None -> (tr, Some l)
+    | None, Some tr -> (tr, None)
+    | None, None -> (Replay.create l, Some l)
   in
+  if
+    Replay.block_size trace <> l.Launch.block_size
+    || Replay.num_blocks trace <> l.Launch.num_blocks
+    || Replay.warp_size trace <> l.Launch.warp_size
+  then invalid_arg "Sm.create: trace does not match the launch";
   (* each SM owns its interconnect port; the L2 and DRAM behind it are
      shared between SMs *)
   let icnt =
     Cache.Dram.create ~latency:cfg.Config.l2_latency
       ~bytes_per_cycle:cfg.Config.icnt_bytes_per_cycle
-  in
-  let lctx =
-    { Interp.image
-    ; global = l.Launch.memory
-    ; params = l.Launch.params
-    ; block_size = l.Launch.block_size
-    ; num_blocks = l.Launch.num_blocks
-    ; san = None
-    }
   in
   let l1_next ~cycle ~addr =
     let t_icnt = Cache.Dram.request icnt ~cycle ~bytes:cfg.Config.l1_line in
@@ -272,9 +206,9 @@ let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
   let sm =
     { cfg
     ; st = Stats.create ()
-    ; lctx
-    ; code = image.Image.code
-    ; mode
+    ; trace
+    ; emulate
+    ; code = (Replay.image trace).Image.code
     ; nwarps = l.Launch.block_size / l.Launch.warp_size
     ; shared
     ; l1
@@ -349,7 +283,7 @@ let lsu_pop sm =
 (* ---------- per-cycle machinery ---------- *)
 
 (* The scoreboard and the pc are the only inputs of a warp's wake
-   cycle, and they change only here and in [issue] (after [f_step]);
+   cycle, and they change only here and in [issue] (after [Replay.step]);
    both drop the cached value, and [status] recomputes it on demand. *)
 let set_pending ws slot ready =
   ws.sb.(slot) <- ready;
@@ -369,13 +303,12 @@ let compute_wake sm ws pc =
   w
 
 let status sm ws : blocked =
-  if f_done ws.w then Done
+  if Replay.is_done ws.w then Done
   else if ws.waiting_barrier then Barrier
   else if ws.wake > sm.now then Scoreboard
   else begin
-    let pc = f_fetch ws.w in
-    if pc < 0 then Done
-    else if ws.wake < 0 && compute_wake sm ws pc > sm.now then Scoreboard
+    let pc = Replay.fetch ws.w in
+    if ws.wake < 0 && compute_wake sm ws pc > sm.now then Scoreboard
     else if
       Array.unsafe_get sm.code.Dcode.is_gl_mem pc
       && sm.lsu_len + lsu_headroom > lsu_capacity
@@ -386,12 +319,12 @@ let status sm ws : blocked =
 (* Coalescing: the warp's recorded lane addresses, reduced to the sorted
    set of distinct L1-line indices (in [seg_buf]; ascending, as the
    reference [List.sort_uniq] produced). Returns the segment count. *)
-let coalesce sm (w : front) =
+let coalesce sm w =
   let line = Int64.of_int sm.cfg.Config.l1_line in
-  let n = f_mem_count w in
+  let n = Replay.mem_count w in
   let buf = sm.seg_buf in
   for i = 0 to n - 1 do
-    buf.(i) <- Int64.to_int (Int64.div (f_mem_addr w i) line)
+    buf.(i) <- Int64.to_int (Int64.div (Replay.mem_addr w i) line)
   done;
   for i = 1 to n - 1 do
     let x = buf.(i) in
@@ -441,12 +374,12 @@ let finish_warp sm ws =
    bank of a word is its signed remainder, so counts index
    [bank + shared_banks] to keep negative classes distinct, as the
    reference Hashtbl keying did. *)
-let bank_conflict_degree sm (w : front) =
-  let n = f_mem_count w in
+let bank_conflict_degree sm w =
+  let n = Replay.mem_count w in
   let words = sm.word_buf in
   let m = ref 0 in
   for i = 0 to n - 1 do
-    let word = Int64.to_int (Int64.div (f_mem_addr w i) 4L) in
+    let word = Int64.to_int (Int64.div (Replay.mem_addr w i) 4L) in
     let dup = ref false in
     for j = 0 to !m - 1 do
       if words.(j) = word then dup := true
@@ -470,28 +403,15 @@ let bank_conflict_degree sm (w : front) =
 let issue sm ws =
   let st = sm.st in
   let cfg = sm.cfg in
-  let mask = f_mask ws.w in
-  let lanes = Interp.popcount mask in
-  let pc = f_fetch ws.w in
+  let lanes = Dcode.popcount (Replay.active_mask ws.w) in
+  let pc = Replay.fetch ws.w in
   let defs = sm.code.Dcode.defs.(pc) in
-  let exec = f_step ws.w in
+  let exec = Replay.step ws.w in
   ws.wake <- -1;
-  (* recording appends to flat arrays only — it cannot perturb timing *)
-  (match ws.tr with
-   | Some tr ->
-     Replay.record tr ~pc ~mask;
-     (match (exec, ws.w) with
-      | Interp.E_mem _, Live w ->
-        let n = Interp.mem_count w in
-        for i = 0 to n - 1 do
-          Replay.record_addr tr (Interp.mem_addr w i)
-        done
-      | _ -> ())
-   | None -> ());
   st.Stats.warp_instrs <- st.Stats.warp_instrs + 1;
   st.Stats.thread_instrs <- st.Stats.thread_instrs + lanes;
   match exec with
-  | Interp.E_alu cls ->
+  | Dcode.E_alu cls ->
     (match cls with
      | Ptx.Instr.Sfu -> st.Stats.sfu_instrs <- st.Stats.sfu_instrs + 1
      | Ptx.Instr.Alu | Ptx.Instr.Alu_heavy | Ptx.Instr.Ctrl
@@ -502,8 +422,8 @@ let issue sm ws =
     for i = 0 to Array.length defs - 1 do
       set_pending ws defs.(i) ready
     done
-  | Interp.E_mem { space = Ptx.Types.Shared; write; _ } ->
-    let n = f_mem_count ws.w in
+  | Dcode.E_mem { space = Ptx.Types.Shared; write; _ } ->
+    let n = Replay.mem_count ws.w in
     let degree = bank_conflict_degree sm ws.w in
     st.Stats.shared_bank_conflicts <-
       st.Stats.shared_bank_conflicts + (degree - 1);
@@ -515,9 +435,9 @@ let issue sm ws =
         set_pending ws defs.(i) ready
       done
     end
-  | Interp.E_mem { space; write; _ } ->
+  | Dcode.E_mem { space; write; _ } ->
     let local = Ptx.Types.equal_space space Ptx.Types.Local in
-    let n = f_mem_count ws.w in
+    let n = Replay.mem_count ws.w in
     (match (local, write) with
      | true, true -> st.Stats.local_store_lanes <- st.Stats.local_store_lanes + n
      | true, false -> st.Stats.local_load_lanes <- st.Stats.local_load_lanes + n
@@ -543,12 +463,12 @@ let issue sm ws =
         lsu_push sm a ~write:false ~write_alloc:true ~bypass pl
       done
     end
-  | Interp.E_barrier ->
+  | Dcode.E_barrier ->
     ws.waiting_barrier <- true;
     let bs = ws.bstate in
     bs.at_barrier <- bs.at_barrier + 1;
     release_barrier bs
-  | Interp.E_exit -> finish_warp sm ws
+  | Dcode.E_exit -> finish_warp sm ws
 
 let service_lsu sm =
   let ports = ref sm.cfg.Config.l1_ports in
@@ -690,7 +610,7 @@ let dynamic_adjust sm =
    Barrier and finished warps cannot change without an issue; an unknown
    wake gives [sm.now], i.e. no skip. *)
 let wake_bound sm ws acc =
-  if ws.waiting_barrier || f_done ws.w then acc
+  if ws.waiting_barrier || Replay.is_done ws.w then acc
   else
     let w = if ws.wake < 0 then sm.now else ws.wake in
     if w < acc then w else acc

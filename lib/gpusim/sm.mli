@@ -14,13 +14,14 @@
     - block-level barriers and a block dispatcher that refills freed
       slots, mirroring the paper's thread-block-level throttling.
 
-    The instruction front-end is pluggable: a live {!Interp} warp
-    (functional execution), optionally capturing a {!Replay} trace as a
-    side effect ([?record]), or a replay cursor over a previously
-    recorded trace ([?replay]) that feeds the timing pipeline the same
-    (pc, mask, addresses) stream while skipping operand evaluation and
-    register-file writes — replayed statistics are bit-identical to a
-    cold run's.
+    The SM times traces only: every warp issues from a {!Replay.cursor},
+    which feeds the timing pipeline the (pc, mask, addresses) stream of
+    one warp. A block's trace comes from a previously recorded trace
+    ([?replay]) or, failing that, is recorded when the block is
+    dispatched, by executing that one block on {!Emulator}
+    ({!Emulator.record}). So a cold run and a replay of its trace give
+    bit-identical statistics by construction, and a run cut short by
+    [Cycle_limit] never executes a block it never dispatched.
 
     The stepping API ({!create}/{!step}) lets {!Gpu} advance several SMs
     against one shared memory hierarchy; {!run} is the single-SM
@@ -51,12 +52,12 @@ val create :
           caches. An extension hook: the paper notes CRAT composes with
           cache-bypassing techniques *)
   -> ?record:Replay.t
-      (** capture the dynamic trace into this (empty) trace while
-          executing functionally; exclusive with [?replay] *)
+      (** record each dispatched block into this (empty) trace instead
+          of a private one, so the caller can keep it; exclusive with
+          [?replay] *)
   -> ?replay:Replay.t
-      (** drive the timing pipeline from this recorded trace instead of
-          executing functionally; the launch's geometry must match the
-          trace's, and global memory is left untouched *)
+      (** time this recorded trace instead of executing functionally;
+          global memory is left untouched *)
   -> Config.t
   -> shared_memsys
   -> next_block:(unit -> int option)
@@ -65,8 +66,11 @@ val create :
   -> Launch.t
   -> t
 (** [launch.num_blocks] is only used for the kernel's [%nctaid]; block
-    ids come from [next_block]. The launch's [warp_size] must equal the
-    configuration's. *)
+    ids come from [next_block]. Unless [?replay] is given, each block
+    executes whole on {!Emulator}, against the launch's global memory,
+    when it is dispatched, before its first instruction issues. The
+    launch's [warp_size] must equal the configuration's, and its
+    geometry the trace's. *)
 
 val step : t -> unit
 (** Advance one cycle. *)
@@ -92,7 +96,9 @@ val run :
   -> Stats.t
 (** Single-SM convenience: private memory hierarchy, sequential block
     ids [0 .. num_blocks-1]; the launch's [tlp_limit] bounds concurrent
-    blocks. Stretches of cycles in which every scheduler provably
+    blocks. [?record] and [?replay] are as in {!create}: the blocks
+    dispatched before the run ends (or raises [Cycle_limit]) have
+    executed whole, and no other block has. Stretches of cycles in which every scheduler provably
     repeats its stall are skipped in one jump, with the statistics
     {!step}-ping through them would give.
     @raise Cycle_limit when [max_cycles] (default 40_000_000) elapses. *)

@@ -354,7 +354,7 @@ let test_divergence_stack_mechanics () =
     ignore (G.Interp.step w);
     if
       (not (G.Interp.is_done w))
-      && G.Interp.popcount (G.Interp.active_mask w) < 32
+      && G.Dcode.popcount (G.Interp.active_mask w) < 32
     then saw_partial := true
   done;
   check "divergence observed" true !saw_partial

@@ -1,9 +1,13 @@
-(* Layering check: the reference interpreter stays out of production
-   paths. {!Gpusim.Refinterp} is the semantic oracle for the fast
-   interpreter; besides the tests, only translation validation's witness
-   replay may run on it. Every OCaml source under lib/, bin/ and bench/
-   is scanned, with comments and string literals stripped, for the
-   identifier [Refinterp]. *)
+(* Layering checks, on sources with comments and string literals
+   stripped:
+   - the reference interpreter stays out of production paths.
+     {!Gpusim.Refinterp} is the semantic oracle for the fast
+     interpreter; besides the tests, only translation validation's
+     witness replay may run on it. Every OCaml source under lib/, bin/
+     and bench/ is scanned for the identifier [Refinterp];
+   - the timing layer times traces only: {!Gpusim.Sm} and {!Gpusim.Gpu}
+     never name [Interp], so functional execution reaches them only
+     through {!Gpusim.Emulator}'s recorded traces. *)
 
 let roots = [ "lib"; "bin"; "bench" ]
 
@@ -121,8 +125,8 @@ let mentions word code =
   in
   n > 0 && from 0
 
-let references file =
-  mentions "Refinterp" (code_only (read_file (Filename.concat root_dir file)))
+let references ?(word = "Refinterp") file =
+  mentions word (code_only (read_file (Filename.concat root_dir file)))
 
 let test_scanner () =
   let check what expected src =
@@ -154,6 +158,17 @@ let test_scope () =
   Alcotest.(check (list string))
     "Refinterp referenced outside the oracle and witness replay" [] offenders
 
+let timing_sources =
+  [ "lib/gpusim/sm.ml"; "lib/gpusim/sm.mli"; "lib/gpusim/gpu.ml"; "lib/gpusim/gpu.mli" ]
+
+let test_timing_times_traces () =
+  (* the scanner must see the layer below, where the recording runs *)
+  Alcotest.(check bool) "the emulator drives Interp" true
+    (references ~word:"Interp" "lib/gpusim/emulator.ml");
+  Alcotest.(check (list string))
+    "Interp referenced from the timing layer" []
+    (List.filter (references ~word:"Interp") timing_sources)
+
 let () =
   Alcotest.run "layering"
     [ ( "refinterp"
@@ -161,5 +176,9 @@ let () =
             test_scanner
         ; Alcotest.test_case "only the oracle and witness replay" `Quick
             test_scope
+        ] )
+    ; ( "timing"
+      , [ Alcotest.test_case "Sm and Gpu do not reference Interp" `Quick
+            test_timing_times_traces
         ] )
     ]

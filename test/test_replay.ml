@@ -214,6 +214,121 @@ let test_store_budget_eviction () =
     (s1 = Crat.Engine.simulate e0 l fermi ~tlp:1
      && s2 = Crat.Engine.simulate e0 l G.Config.kepler ~tlp:1)
 
+(* ---------- traces are recorded at dispatch ---------- *)
+
+module B = Ptx.Builder
+module I = Ptx.Instr
+module T = Ptx.Types
+
+(* [v] after a dependent chain of [n] adds to 1: [n + 1], and time for
+   the timing model to let other blocks run *)
+let add_chain b n =
+  let v = B.mov b T.U32 (B.imm 1) in
+  for _ = 1 to n do
+    B.acc_binop b I.Add T.U32 v (B.imm 1)
+  done;
+  v
+
+(* A cross-block global race: block 0 stores a flag after a 200-add
+   chain; block 1 loads the flag and uses it as its lane stride, so its
+   store coalesces into one segment when it reads the flag first and
+   into 32 when block 0 stored first. *)
+let race_kernel () =
+  let b = B.create "race" in
+  let flag = B.param b "flag" T.U64 in
+  let out = B.param b "out" T.U64 in
+  let ctaid = B.special b Ptx.Reg.Ctaid_x in
+  let flagp = B.ld_param b T.U64 flag in
+  let first = B.setp b I.Eq T.U32 (B.reg ctaid) (B.imm 0) in
+  let reader = B.fresh_label b "Lreader" in
+  let fin = B.fresh_label b "Ldone" in
+  B.bra_ifnot b first reader;
+  let v = add_chain b 200 in
+  B.st b T.Global T.U32 (B.reg flagp) 0 (B.reg v);
+  B.bra b fin;
+  B.label b reader;
+  let stride = B.ld b T.Global T.U32 (B.reg flagp) 0 in
+  let tid = B.special b Ptx.Reg.Tid_x in
+  let words = B.mul b T.U32 (B.reg tid) (B.reg stride) in
+  let bytes = B.mul b T.U32 (B.reg words) (B.imm 4) in
+  let off = B.cvt b T.U64 T.U32 (B.reg bytes) in
+  let outp = B.ld_param b T.U64 out in
+  let addr = B.add b T.U64 (B.reg outp) (B.reg off) in
+  B.st b T.Global T.U32 (B.reg addr) 0 (B.reg tid);
+  B.label b fin;
+  B.finish b
+
+let race_launch ?(tlp = 1) () =
+  G.Launch.make ~kernel:(race_kernel ()) ~block_size:32 ~num_blocks:2
+    ~tlp_limit:tlp
+    ~params:[ ("flag", G.Value.I 0x1000L); ("out", G.Value.I 0x10_0000L) ]
+    (G.Memory.create ())
+
+(* Whatever TLP the engine is asked for first, its answer at each TLP
+   equals a direct run's and a replay-free engine's: one launch has one
+   trace, whatever schedule the timing model would have interleaved. *)
+let test_race_order_independent () =
+  let l = race_launch () in
+  let direct tlp =
+    let lt = G.Launch.with_tlp l tlp in
+    G.Sm.run fermi { lt with G.Launch.memory = G.Memory.copy lt.G.Launch.memory }
+  in
+  let e0 = Crat.Engine.create ~replay:false () in
+  List.iter
+    (fun order ->
+       let e = Crat.Engine.create () in
+       List.iter
+         (fun tlp ->
+            let st = Crat.Engine.simulate e l fermi ~tlp in
+            let name what =
+              Printf.sprintf "tlp %d (order %s) equals %s" tlp
+                (String.concat "," (List.map string_of_int order))
+                what
+            in
+            check_int (name "a direct Sm.run's global segments")
+              (direct tlp).G.Stats.global_segments st.G.Stats.global_segments;
+            check (name "a direct Sm.run") true (st = direct tlp);
+            check (name "a replay-free engine") true
+              (st = Crat.Engine.simulate e0 l fermi ~tlp))
+         order)
+    [ [ 1; 2 ]; [ 2; 1 ] ]
+
+(* every block writes [ctaid + 1] to its 32 words after a 200-add
+   chain *)
+let stamp_kernel () =
+  let b = B.create "stamp" in
+  let out = B.param b "out" T.U64 in
+  let _ = add_chain b 200 in
+  let ctaid = B.special b Ptx.Reg.Ctaid_x in
+  let tid = B.special b Ptx.Reg.Tid_x in
+  let gid = B.mad b T.U32 (B.reg ctaid) (B.imm 32) (B.reg tid) in
+  let bytes = B.mul b T.U32 (B.reg gid) (B.imm 4) in
+  let off = B.cvt b T.U64 T.U32 (B.reg bytes) in
+  let outp = B.ld_param b T.U64 out in
+  let addr = B.add b T.U64 (B.reg outp) (B.reg off) in
+  let v = B.add b T.U32 (B.reg ctaid) (B.imm 1) in
+  B.st b T.Global T.U32 (B.reg addr) 0 (B.reg v);
+  B.finish b
+
+(* A run cut short by [Cycle_limit] has executed the blocks it
+   dispatched, whole, and no other: at TLP 1 the limit falls inside
+   block 0's timing, so block 0's words are written and the last
+   block's are untouched. *)
+let test_cycle_limit_is_lazy () =
+  let mem = G.Memory.create () in
+  let l =
+    G.Launch.make ~kernel:(stamp_kernel ()) ~block_size:32 ~num_blocks:3
+      ~tlp_limit:1 ~params:[ ("out", G.Value.I 0L) ] mem
+  in
+  (match G.Sm.run ~max_cycles:10 fermi l with
+   | _ -> Alcotest.fail "expected Cycle_limit"
+   | exception G.Sm.Cycle_limit _ -> ());
+  let words = G.Memory.read_u32_array mem ~base:0L 96 in
+  check "dispatched block 0 executed whole" true
+    (Array.for_all (( = ) 1) (Array.sub words 0 32));
+  check "undispatched last block untouched" true
+    (Array.for_all (( = ) 0) (Array.sub words 64 32))
+
 let () =
   Alcotest.run "replay"
     [ ( "differential"
@@ -238,5 +353,11 @@ let () =
             test_engine_separates_launches
         ; Alcotest.test_case "tiny budget degrades to cold" `Slow
             test_store_budget_eviction
+        ] )
+    ; ( "dispatch"
+      , [ Alcotest.test_case "cross-block race answered order-independently"
+            `Quick test_race_order_independent
+        ; Alcotest.test_case "Cycle_limit leaves undispatched blocks unexecuted"
+            `Quick test_cycle_limit_is_lazy
         ] )
     ]
