@@ -36,9 +36,11 @@ equiv:
 bench:
 	dune exec bench/main.exe
 
-# cheap smoke check of the parallel evaluation path
+# cheap smoke check of the parallel evaluation path: a per-app table
+# (fig1), a design-space table (fig11) and fig13's shared comparisons
+# built on demand for fig14
 bench-smoke:
-	dune exec bench/main.exe -- --only fig1 --jobs 2 --fast
+	dune exec bench/main.exe -- --only fig1,fig11,fig14 --jobs 2 --fast
 
 clean:
 	dune clean

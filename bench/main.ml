@@ -1,5 +1,7 @@
 (* Paper-figure registry: regenerates every table and figure of the
-   paper's evaluation, one id per table or figure.
+   paper's evaluation, one id per table or figure. Each id builds one
+   Crat.Experiments.table, printed under its title by
+   Crat.Experiments.pp_table.
 
    Usage:
      dune exec bench/main.exe                 # all experiments, full size
@@ -9,8 +11,11 @@
      dune exec bench/main.exe -- --no-replay  # every simulation cold
      dune exec bench/main.exe -- --backend machine --only fig13 *)
 
+module E = Crat.Experiments
+
 let fermi = Gpusim.Config.fermi
 let kepler = Gpusim.Config.kepler
+let find = Workloads.Suite.find
 
 type ctx =
   { engine : Crat.Engine.t
@@ -18,202 +23,72 @@ type ctx =
   ; sensitive : Workloads.App.t list
   ; insensitive : Workloads.App.t list
   ; input_apps : Workloads.App.t list  (** fig18 *)
+  ; fig13 : (E.table * E.comparison list) Lazy.t
+      (** fig13 on [sensitive]; fig14/15/16/energy share its comparisons *)
   }
 
-let full_ctx ?(backend = Machine.Backend.Ptx) engine =
+let make_ctx ~fast ~backend engine =
+  let sensitive, insensitive, input_apps =
+    if fast then
+      ( List.map find [ "CFD"; "KMN"; "FDTD"; "STM"; "BLK" ]
+      , List.map find [ "PATH"; "GAU"; "BFS" ]
+      , [ find "BLK" ] )
+    else
+      ( Workloads.Suite.sensitive
+      , Workloads.Suite.insensitive
+      , [ find "CFD"; find "BLK" ] )
+  in
   { engine
   ; backend
-  ; sensitive = Workloads.Suite.sensitive
-  ; insensitive = Workloads.Suite.insensitive
-  ; input_apps = [ Workloads.Suite.find "CFD"; Workloads.Suite.find "BLK" ]
+  ; sensitive
+  ; insensitive
+  ; input_apps
+  ; fig13 = lazy (E.fig13 ~backend engine fermi sensitive)
   }
 
-let fast_ctx ?(backend = Machine.Backend.Ptx) engine =
-  { engine
-  ; backend
-  ; sensitive =
-      List.map Workloads.Suite.find [ "CFD"; "KMN"; "FDTD"; "STM"; "BLK" ]
-  ; insensitive = List.map Workloads.Suite.find [ "PATH"; "GAU"; "BFS" ]
-  ; input_apps = [ Workloads.Suite.find "BLK" ]
-  }
+let comparisons ctx = snd (Lazy.force ctx.fig13)
 
-let fmt = Format.std_formatter
-
-(* fig13 and its companions share one set of comparisons *)
-let comparisons = ref None
-
-let get_comparisons ctx =
-  match !comparisons with
-  | Some c -> c
-  | None ->
-    let _, comps =
-      Crat.Experiments.fig13 ~backend:ctx.backend ctx.engine fermi ctx.sensitive
-    in
-    comparisons := Some comps;
-    comps
-
-let experiments : (string * string * (ctx -> unit)) list =
-  [ ( "tab2"
-    , "Table 2: simulated configuration"
-    , fun _ ->
-        Format.fprintf fmt "Table 2: simulated GPGPU-Sim-like configuration@.%a@."
-          Gpusim.Config.pp fermi )
-  ; ( "tab3"
-    , "Table 3: applications"
-    , fun _ -> Format.fprintf fmt "Table 3: applications@.%a@." Workloads.Suite.pp_table () )
-  ; ( "tab1"
-    , "Table 1: resource-usage parameters"
-    , fun ctx ->
-        Crat.Experiments.pp_tab1 fmt
-          (Crat.Experiments.tab1 ctx.engine fermi ctx.sensitive) )
-  ; ( "fig1"
-    , "Fig 1: throttling benefit and register waste"
-    , fun ctx ->
-        Crat.Experiments.pp_fig1 fmt
-          (Crat.Experiments.fig1 ctx.engine fermi ctx.sensitive) )
-  ; ( "fig2"
-    , "Fig 2: (reg, TLP) design space for CFD"
-    , fun ctx ->
-        Crat.Experiments.pp_fig2 fmt
-          (Crat.Experiments.fig2 ctx.engine fermi (Workloads.Suite.find "CFD")) )
-  ; ( "fig3"
-    , "Fig 3: selected design points for CFD"
-    , fun ctx ->
-        Crat.Experiments.pp_fig3 fmt
-          (Crat.Experiments.fig3 ctx.engine fermi (Workloads.Suite.find "CFD")) )
-  ; ( "fig5"
-    , "Fig 5: throttling impact on the L1"
-    , fun ctx ->
-        Crat.Experiments.pp_fig5 fmt
-          (Crat.Experiments.fig5 ctx.engine fermi ctx.sensitive) )
-  ; ( "fig6"
-    , "Fig 6: registers vs TLP and instruction count (CFD)"
-    , fun ctx ->
-        Crat.Experiments.pp_fig6 fmt
-          (Crat.Experiments.fig6 ctx.engine fermi (Workloads.Suite.find "CFD")) )
-  ; ( "fig7"
-    , "Fig 7: register vs shared-memory utilization"
-    , fun ctx ->
-        Crat.Experiments.pp_fig7 fmt
-          (Crat.Experiments.fig7 fermi (ctx.sensitive @ ctx.insensitive)) )
-  ; ( "fig8"
-    , "Fig 8: FDTD register/shared exploration"
-    , fun ctx ->
-        Crat.Experiments.pp_fig8 fmt
-          (Crat.Experiments.fig8 ctx.engine fermi (Workloads.Suite.find "FDTD")) )
-  ; ( "fig11"
-    , "Fig 11: design-space staircase and pruning (CFD)"
-    , fun ctx ->
-        Crat.Experiments.pp_fig11 fmt
-          (Crat.Experiments.fig11 ctx.engine fermi (Workloads.Suite.find "CFD")) )
-  ; ( "fig12"
-    , "Fig 12: spill-bytes validation (CFD)"
-    , fun ctx ->
-        Crat.Experiments.pp_fig12 fmt
-          (Crat.Experiments.fig12 ctx.engine fermi (Workloads.Suite.find "CFD")) )
-  ; ( "fig13"
-    , "Fig 13: headline performance comparison"
-    , fun ctx ->
-        let rows, comps =
-          Crat.Experiments.fig13 ~backend:ctx.backend ctx.engine fermi
-            ctx.sensitive
-        in
-        comparisons := Some comps;
-        Crat.Experiments.pp_fig13 fmt rows )
-  ; ( "fig14"
-    , "Fig 14: selected TLP"
-    , fun ctx -> Crat.Experiments.pp_fig14 fmt (Crat.Experiments.fig14 (get_comparisons ctx)) )
-  ; ( "fig15"
-    , "Fig 15: register utilization"
-    , fun ctx ->
-        Crat.Experiments.pp_fig15 fmt
-          (Crat.Experiments.fig15 fermi (get_comparisons ctx)) )
-  ; ( "fig16"
-    , "Fig 16: local-memory access reduction"
-    , fun ctx -> Crat.Experiments.pp_fig16 fmt (Crat.Experiments.fig16 (get_comparisons ctx)) )
+let experiments : (string * (ctx -> E.table)) list =
+  [ ("tab2", fun _ -> E.tab2 fermi)
+  ; ("tab3", fun _ -> E.tab3 Workloads.Suite.all)
+  ; ("tab1", fun ctx -> E.tab1 ctx.engine fermi ctx.sensitive)
+  ; ("fig1", fun ctx -> E.fig1 ctx.engine fermi ctx.sensitive)
+  ; ("fig2", fun ctx -> E.fig2 ctx.engine fermi (find "CFD"))
+  ; ("fig3", fun ctx -> E.fig3 ctx.engine fermi (find "CFD"))
+  ; ("fig5", fun ctx -> E.fig5 ctx.engine fermi ctx.sensitive)
+  ; ("fig6", fun ctx -> E.fig6 ctx.engine fermi (find "CFD"))
+  ; ("fig7", fun ctx -> E.fig7 fermi (ctx.sensitive @ ctx.insensitive))
+  ; ("fig8", fun ctx -> E.fig8 ctx.engine fermi (find "FDTD"))
+  ; ("fig11", fun ctx -> E.fig11 ctx.engine fermi (find "CFD"))
+  ; ("fig12", fun ctx -> E.fig12 ctx.engine fermi (find "CFD"))
+  ; ("fig13", fun ctx -> fst (Lazy.force ctx.fig13))
+  ; ("fig14", fun ctx -> E.fig14 (comparisons ctx))
+  ; ("fig15", fun ctx -> E.fig15 fermi (comparisons ctx))
+  ; ("fig16", fun ctx -> E.fig16 (comparisons ctx))
   ; ( "fig17"
-    , "Fig 17: Kepler-like scalability"
     , fun ctx ->
-        let rows, _ =
-          Crat.Experiments.fig13 ~backend:ctx.backend ctx.engine kepler
-            ctx.sensitive
-        in
-        Format.fprintf fmt "Fig 17: Kepler-like architecture@.";
-        Crat.Experiments.pp_fig13 fmt rows )
-  ; ( "fig18"
-    , "Fig 18: input sensitivity"
-    , fun ctx ->
-        Crat.Experiments.pp_fig18 fmt
-          (Crat.Experiments.fig18 ctx.engine fermi ctx.input_apps) )
+        let t, _ = E.fig13 ~backend:ctx.backend ctx.engine kepler ctx.sensitive in
+        { t with E.title = "Fig 17: Kepler-like architecture" } )
+  ; ("fig18", fun ctx -> E.fig18 ctx.engine fermi ctx.input_apps)
   ; ( "fig19"
-    , "Fig 19: resource-insensitive applications"
     , fun ctx ->
-        let rows, _ =
-          Crat.Experiments.fig13 ~backend:ctx.backend ctx.engine fermi
-            ctx.insensitive
-        in
-        Format.fprintf fmt "Fig 19: resource-insensitive applications@.";
-        Crat.Experiments.pp_fig13 fmt rows )
-  ; ( "fig20"
-    , "Fig 20: CRAT-profile vs CRAT-static"
-    , fun ctx ->
-        Crat.Experiments.pp_fig20 fmt
-          (Crat.Experiments.fig20 ctx.engine fermi ctx.sensitive) )
-  ; ( "energy"
-    , "Energy: CRAT vs OptTLP"
-    , fun ctx -> Crat.Experiments.pp_energy fmt (Crat.Experiments.energy (get_comparisons ctx)) )
-  ; ( "overhead"
-    , "Overhead: profiling vs static analysis"
-    , fun ctx ->
-        Crat.Experiments.pp_overhead fmt
-          (Crat.Experiments.overhead ctx.engine fermi ctx.sensitive) )
+        let t, _ = E.fig13 ~backend:ctx.backend ctx.engine fermi ctx.insensitive in
+        { t with E.title = "Fig 19: resource-insensitive applications" } )
+  ; ("fig20", fun ctx -> E.fig20 ctx.engine fermi ctx.sensitive)
+  ; ("energy", fun ctx -> E.energy (comparisons ctx))
+  ; ("overhead", fun ctx -> E.overhead ctx.engine fermi ctx.sensitive)
   ; ( "dyn-tlp"
-    , "Baseline: online DynCTA-style throttling"
     , fun ctx ->
-        Crat.Experiments.pp_dynamic_tlp fmt
-          (Crat.Experiments.dynamic_tlp ctx.engine fermi
-             (List.map Workloads.Suite.find [ "KMN"; "STM"; "SPMV"; "CFD" ])) )
-  ; ( "ext-bypass"
-    , "Extension: CRAT + static L1 bypassing (CFD)"
-    , fun ctx ->
-        Crat.Experiments.pp_extension_bypass fmt
-          (Crat.Experiments.extension_bypass ctx.engine fermi
-             (Workloads.Suite.find "CFD")) )
+        E.dynamic_tlp ctx.engine fermi (List.map find [ "KMN"; "STM"; "SPMV"; "CFD" ]) )
+  ; ("ext-bypass", fun ctx -> E.extension_bypass ctx.engine fermi (find "CFD"))
   ; ( "abl-sched"
-    , "Ablation: GTO vs LRR warp scheduling"
     , fun ctx ->
-        Crat.Experiments.pp_ablation_scheduler fmt
-          (Crat.Experiments.ablation_scheduler ctx.engine fermi
-             (List.map Workloads.Suite.find [ "CFD"; "KMN"; "STM" ])) )
-  ; ( "abl-chunk"
-    , "Ablation: Algorithm 1 sub-stack granularity"
-    , fun ctx ->
-        Crat.Experiments.pp_ablation_chunk fmt
-          (Crat.Experiments.ablation_chunk ctx.engine fermi
-             (Workloads.Suite.find "STE") ~reg:40) )
-  ; ( "gpu-scale"
-    , "Multi-SM scaling (KMN, shared memory system)"
-    , fun ctx ->
-        Crat.Experiments.pp_gpu_scaling fmt
-          (Crat.Experiments.gpu_scaling ctx.engine fermi
-             (Workloads.Suite.find "KMN") ~tlp:2) )
-  ; ( "abl-alloc"
-    , "Ablation: allocator extensions (coalescing, remat)"
-    , fun ctx ->
-        Crat.Experiments.pp_ablation_allocator fmt
-          (Crat.Experiments.ablation_allocator ctx.engine fermi
-             (Workloads.Suite.find "CFD") ~reg:48) )
-  ; ( "abl-type"
-    , "Ablation: type-affine colouring (register waste)"
-    , fun ctx ->
-        Crat.Experiments.pp_ablation_type_strict fmt
-          (Crat.Experiments.ablation_type_strict (ctx.sensitive @ ctx.insensitive)) )
-  ; ( "scalar"
-    , "Scalarization: PTX vs machine register files"
-    , fun ctx ->
-        Crat.Experiments.pp_scalarization fmt
-          (Crat.Experiments.scalarization fermi
-             (ctx.sensitive @ ctx.insensitive)) )
+        E.ablation_scheduler ctx.engine fermi (List.map find [ "CFD"; "KMN"; "STM" ]) )
+  ; ("abl-chunk", fun ctx -> E.ablation_chunk ctx.engine fermi (find "STE") ~reg:40)
+  ; ("gpu-scale", fun ctx -> E.gpu_scaling ctx.engine fermi (find "KMN") ~tlp:2)
+  ; ("abl-alloc", fun ctx -> E.ablation_allocator ctx.engine fermi (find "CFD") ~reg:48)
+  ; ("abl-type", fun ctx -> E.ablation_type_strict (ctx.sensitive @ ctx.insensitive))
+  ; ("scalar", fun ctx -> E.scalarization fermi (ctx.sensitive @ ctx.insensitive))
   ]
 
 (* ---------- driver ---------- *)
@@ -257,24 +132,21 @@ let () =
   end;
   List.iter
     (fun id ->
-       if not (List.exists (fun (id', _, _) -> id' = id) experiments) then begin
+       if not (List.mem_assoc id experiments) then begin
          Printf.eprintf "bench: unknown experiment id %S (see --help)\n" id;
          exit 2
        end)
     !only;
   let engine = Crat.Engine.create ~jobs:!jobs ~replay:!replay () in
-  let ctx =
-    if !fast then fast_ctx ~backend:!backend engine
-    else full_ctx ~backend:!backend engine
-  in
-  let wanted (id, _, _) = !only = [] || List.mem id !only in
+  let ctx = make_ctx ~fast:!fast ~backend:!backend engine in
+  let fmt = Format.std_formatter in
   let t_all = Unix.gettimeofday () in
   List.iter
-    (fun ((id, descr, run) as e) ->
-       if wanted e then begin
+    (fun (id, run) ->
+       if !only = [] || List.mem id !only then begin
          let t0 = Unix.gettimeofday () in
-         Format.fprintf fmt "==== %s: %s ====@." id descr;
-         run ctx;
+         Format.fprintf fmt "==== %s ====@." id;
+         E.pp_table fmt (run ctx);
          Format.fprintf fmt "(%.1fs)@.@." (Unix.gettimeofday () -. t0)
        end)
     experiments;

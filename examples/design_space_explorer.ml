@@ -32,13 +32,20 @@ let () =
   Format.printf "@.";
 
   (* the full surface, normalised to MaxTLP (Fig. 2) *)
-  let points = Crat.Experiments.fig2 engine cfg app in
-  let regs =
-    List.sort_uniq compare (List.map (fun p -> p.Crat.Experiments.reg2) points)
+  let surface = Crat.Experiments.fig2 engine cfg app in
+  let ints col =
+    List.map
+      (fun c -> int_of_float (Crat.Experiments.number c))
+      (Crat.Experiments.column surface col)
   in
-  let tlps =
-    List.sort_uniq compare (List.map (fun p -> p.Crat.Experiments.tlp2) points)
+  let points =
+    List.combine
+      (List.combine (ints "reg") (ints "TLP"))
+      (List.map Crat.Experiments.number
+         (Crat.Experiments.column surface "speedup"))
   in
+  let regs = List.sort_uniq compare (List.map (fun ((r, _), _) -> r) points) in
+  let tlps = List.sort_uniq compare (List.map (fun ((_, t), _) -> t) points) in
   Format.printf "speedup vs MaxTLP (rows: registers; columns: TLP)@.";
   Format.printf "%6s" "reg";
   List.iter (fun t -> Format.printf " %6s" (Printf.sprintf "TLP%d" t)) tlps;
@@ -48,25 +55,15 @@ let () =
        Format.printf "%6d" reg;
        List.iter
          (fun tlp ->
-            match
-              List.find_opt
-                (fun p ->
-                   p.Crat.Experiments.reg2 = reg && p.Crat.Experiments.tlp2 = tlp)
-                points
-            with
-            | Some p -> Format.printf " %6.2f" p.Crat.Experiments.speedup_vs_max
+            match List.assoc_opt (reg, tlp) points with
+            | Some s -> Format.printf " %6.2f" s
             | None -> Format.printf " %6s" "-")
          tlps;
        Format.printf "@.")
     regs;
-  let best =
+  let (reg, tlp), s =
     List.fold_left
-      (fun acc p ->
-         if p.Crat.Experiments.speedup_vs_max > acc.Crat.Experiments.speedup_vs_max
-         then p
-         else acc)
+      (fun ((_, s) as acc) ((_, s') as p) -> if s' > s then p else acc)
       (List.hd points) points
   in
-  Format.printf "@.best point: reg=%d TLP=%d (%.2fx vs MaxTLP)@."
-    best.Crat.Experiments.reg2 best.Crat.Experiments.tlp2
-    best.Crat.Experiments.speedup_vs_max
+  Format.printf "@.best point: reg=%d TLP=%d (%.2fx vs MaxTLP)@." reg tlp s

@@ -130,8 +130,8 @@ val simulate :
     store when possible, else replay the launch's recorded trace under
     the given config/TLP, else run cold (recording the trace for next
     time). [~cache:false] bypasses the stats store and keeps nothing: it
-    records a private trace unless one is already resident — used by
-    the profiling-overhead experiment to pay the real cost. *)
+    records a private trace unless one is already resident, so it pays
+    the cold cost only on an engine created with [~replay:false]. *)
 
 val cycles :
   ?cache:bool

@@ -78,20 +78,26 @@ let kepler =
 let registers_per_sm c = c.regfile_bytes_per_sm / 4
 let min_reg c = registers_per_sm c / c.max_threads_per_sm
 
+let spec c =
+  let f = Printf.sprintf in
+  [ ( "SM"
+    , f "%d SMs, %d warp size, %d schedulers (GTO)" c.num_sms c.warp_size
+        c.num_schedulers )
+  ; ( "Register"
+    , f "%dKB (%d regs), max %d regs/thread"
+        (c.regfile_bytes_per_sm / 1024) (registers_per_sm c) c.max_regs_per_thread )
+  ; ("Scalar regs", f "%d per SM (machine backend)" c.scalar_regs_per_sm)
+  ; ("Shared memory", f "%dKB" (c.shared_bytes_per_sm / 1024))
+  ; ( "TLP limits"
+    , f "%d threads, %d thread blocks" c.max_threads_per_sm c.max_blocks_per_sm )
+  ; ( "L1 data cache"
+    , f "%dKB, %d-way, %dB lines, LRU, %d MSHRs" (c.l1_bytes / 1024) c.l1_assoc
+        c.l1_line c.l1_mshrs )
+  ; ( "L2 cache"
+    , f "%dKB, %d-way, %d-cycle" (c.l2_bytes / 1024) c.l2_assoc c.l2_latency )
+  ; ("DRAM", f "%d-cycle, %dB/cycle" c.dram_latency c.dram_bytes_per_cycle)
+  ]
+
 let pp fmt c =
   Format.fprintf fmt "%s@." c.name;
-  Format.fprintf fmt "  SM           : %d SMs, %d warp size, %d schedulers (GTO)@."
-    c.num_sms c.warp_size c.num_schedulers;
-  Format.fprintf fmt "  Register     : %dKB (%d regs), max %d regs/thread@."
-    (c.regfile_bytes_per_sm / 1024) (registers_per_sm c) c.max_regs_per_thread;
-  Format.fprintf fmt "  Scalar regs  : %d per SM (machine backend)@."
-    c.scalar_regs_per_sm;
-  Format.fprintf fmt "  Shared memory: %dKB@." (c.shared_bytes_per_sm / 1024);
-  Format.fprintf fmt "  TLP limits   : %d threads, %d thread blocks@."
-    c.max_threads_per_sm c.max_blocks_per_sm;
-  Format.fprintf fmt "  L1 data cache: %dKB, %d-way, %dB lines, LRU, %d MSHRs@."
-    (c.l1_bytes / 1024) c.l1_assoc c.l1_line c.l1_mshrs;
-  Format.fprintf fmt "  L2 cache     : %dKB, %d-way, %d-cycle@."
-    (c.l2_bytes / 1024) c.l2_assoc c.l2_latency;
-  Format.fprintf fmt "  DRAM         : %d-cycle, %dB/cycle@." c.dram_latency
-    c.dram_bytes_per_cycle
+  List.iter (fun (k, v) -> Format.fprintf fmt "  %-13s: %s@." k v) (spec c)

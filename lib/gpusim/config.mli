@@ -48,5 +48,9 @@ val min_reg : t -> int
 (** The paper's MinReg: [NumRegister / MaxThreads] — allocating fewer
     registers per thread than this cannot raise the TLP. *)
 
+val spec : t -> (string * string) list
+(** Table 2's rows: (component, parameters), e.g.
+    [("L2 cache", "768KB, 8-way, 120-cycle")]. *)
+
 val pp : Format.formatter -> t -> unit
-(** Table 2-style rendering. *)
+(** Table 2-style rendering: the name, then {!spec}. *)

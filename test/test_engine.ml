@@ -154,14 +154,15 @@ let test_cache_false_bypasses_store () =
 
 (* ---------- determinism across jobs and replay ---------- *)
 
-(* fig13 at jobs 1 and 4, with the trace-replay cache on and off: rows
-   and every technique's Stats.t must be bit-identical in every cell *)
+(* fig13 at jobs 1 and 4, with the trace-replay cache on and off: the
+   table and every technique's Stats.t must be bit-identical in every
+   cell *)
 let test_jobs_determinism () =
   let apps = List.map small_app [ "GAU"; "KMN"; "STM" ] in
   let run (jobs, replay) =
     let e = Crat.Engine.create ~jobs ~replay () in
-    let rows, comps = Crat.Experiments.fig13 e fermi apps in
-    ( rows
+    let table, comps = Crat.Experiments.fig13 e fermi apps in
+    ( table
     , List.map
         (fun (c : Crat.Experiments.comparison) ->
            List.map
@@ -169,12 +170,12 @@ let test_jobs_determinism () =
              [ c.max_tlp; c.opt_tlp; c.crat_local; c.crat ])
         comps )
   in
-  let rows1, stats1 = run (1, true) in
+  let table1, stats1 = run (1, true) in
   List.iter
     (fun ((jobs, replay) as cell) ->
-       let rows, stats = run cell in
+       let table, stats = run cell in
        let what = Printf.sprintf "(jobs=%d, replay=%b)" jobs replay in
-       check ("fig13 rows bit-identical " ^ what) true (rows = rows1);
+       check ("fig13 table bit-identical " ^ what) true (table = table1);
        check ("underlying stats bit-identical " ^ what) true (stats = stats1))
     [ (4, true); (1, false); (4, false) ]
 
