@@ -94,7 +94,10 @@ let arm_gate enabled = if enabled then Verify.Gate.set true
 
 let apps_cmd =
   let doc = "List the benchmark suite (paper Table 3)." in
-  let run () = Format.printf "%a" Workloads.Suite.pp_table () in
+  let run () =
+    Format.printf "%a" Crat.Experiments.pp_table
+      (Crat.Experiments.tab3 Workloads.Suite.all)
+  in
   Cmd.v (Cmd.info "apps" ~doc) Term.(const run $ const ())
 
 (* ---------- config ---------- *)

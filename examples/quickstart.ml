@@ -20,7 +20,8 @@ let () =
       exit 1
   in
   let cfg = Gpusim.Config.fermi in
-  Format.printf "=== CRAT quickstart: %a ===@.@." Workloads.App.pp app;
+  Format.printf "=== CRAT quickstart: %s (%s) ===@.@." app.Workloads.App.abbr
+    app.Workloads.App.app_name;
 
   (* 1. the kernel as the front end emits it *)
   let kernel = Workloads.App.kernel app in

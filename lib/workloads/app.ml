@@ -89,9 +89,3 @@ let launch a ?kernel:k ?(tlp = 1) ~input () =
   Gpusim.Launch.make ~kernel:kern ~block_size:a.block_size
     ~num_blocks:input.num_blocks ~tlp_limit:tlp ~params:(params a input)
     (memory a input)
-
-let pp fmt a =
-  Format.fprintf fmt "%-5s %-14s %-22s %-8s %s (block=%d, shm=%dB)" a.abbr
-    a.app_name a.kernel_name a.suite_name
-    (if a.sensitive then "sensitive" else "insensitive")
-    a.block_size (a.shm_words * 4)

@@ -58,4 +58,3 @@ val launch :
     deterministic function of the input). *)
 
 val output_words : t -> input -> int
-val pp : Format.formatter -> t -> unit

@@ -178,8 +178,3 @@ let find abbr =
   match List.find_opt (fun a -> a.App.abbr = abbr) all with
   | Some a -> a
   | None -> raise Not_found
-
-let pp_table fmt () =
-  Format.fprintf fmt "%-5s %-14s %-22s %-8s %s@." "abbr" "application" "kernel"
-    "suite" "class";
-  List.iter (fun a -> Format.fprintf fmt "%a@." App.pp a) all

@@ -10,5 +10,3 @@ val find : string -> App.t
     @raise Not_found for unknown abbreviations. *)
 
 val abbrs : string list
-val pp_table : Format.formatter -> unit -> unit
-(** Render Table 3. *)
